@@ -1,7 +1,9 @@
 #include "nn/activation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -73,14 +75,20 @@ Tensor PReLU::backward(const Tensor& grad_output) {
       const float* xin = cached_input_.data() + (i * channels_ + c) * spatial;
       const float* gy = grad_output.data() + (i * channels_ + c) * spatial;
       float* gx = grad_input.data() + (i * channels_ + c) * spatial;
+      for (std::int64_t p = 0; p < spatial; ++p) {
+        gx[p] = xin[p] > 0.0f ? gy[p] : a * gy[p];
+      }
+      // Branch-free slope gradient: the input sign is data-dependent
+      // noise, so a branch on it mispredicts. float×float is exact in
+      // double, and the positive side's product is masked to +0.0 instead
+      // of skipped; da starts at +0.0 and can never become −0.0, so adding
+      // +0.0 leaves its bits unchanged and the sum equals the branchy
+      // loop's exactly. Kept apart from the gx loop, which then vectorizes.
       double da = 0.0;
       for (std::int64_t p = 0; p < spatial; ++p) {
-        if (xin[p] > 0.0f) {
-          gx[p] = gy[p];
-        } else {
-          gx[p] = a * gy[p];
-          da += static_cast<double>(gy[p]) * xin[p];
-        }
+        const double prod = static_cast<double>(gy[p]) * xin[p];
+        const std::uint64_t keep = xin[p] > 0.0f ? 0 : ~std::uint64_t{0};
+        da += std::bit_cast<double>(std::bit_cast<std::uint64_t>(prod) & keep);
       }
       slope_.grad[c] += static_cast<float>(da);
     }

@@ -1,5 +1,6 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -10,6 +11,28 @@
 #include "tensor/thread_pool.h"
 
 namespace sne::nn {
+
+namespace {
+
+// dst[cols × rows] = srcᵀ for a row-major src[rows × cols]. Tiled so both
+// the reads and the strided writes stay within a few cache lines per tile.
+void transpose_into(const float* src, std::int64_t rows, std::int64_t cols,
+                    float* dst) {
+  constexpr std::int64_t kTile = 16;
+  for (std::int64_t r0 = 0; r0 < rows; r0 += kTile) {
+    const std::int64_t r1 = std::min(rows, r0 + kTile);
+    for (std::int64_t c0 = 0; c0 < cols; c0 += kTile) {
+      const std::int64_t c1 = std::min(cols, c0 + kTile);
+      for (std::int64_t r = r0; r < r1; ++r) {
+        for (std::int64_t c = c0; c < c1; ++c) {
+          dst[c * rows + r] = src[r * cols + c];
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                std::int64_t kernel, Rng& rng, std::int64_t stride,
@@ -254,9 +277,14 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     const float* cols =
         pointwise ? cached_input_.data() + i * in_channels_ * h * w
                   : cached_columns_.data() + i * col_rows * out_hw;
-    // dW_i[Cout, col_rows] = gy[Cout, H'W'] · colsᵀ
-    sgemm_bt(out_channels_, col_rows, out_hw, 1.0f, gy, cols, 0.0f,
-             dw.data() + i * wsize);
+    // dW_i[Cout, col_rows] = gy[Cout, H'W'] · colsᵀ on the panel GEMM: the
+    // columns are transposed into a per-thread, grow-only [H'W' × col_rows]
+    // panel so the product is a plain row-major sgemm.
+    thread_local std::vector<float> cols_t;
+    cols_t.resize(static_cast<std::size_t>(out_hw * col_rows));
+    transpose_into(cols, col_rows, out_hw, cols_t.data());
+    sgemm_serial(out_channels_, col_rows, out_hw, 1.0f, gy, cols_t.data(),
+                 0.0f, dw.data() + i * wsize);
     // db_i[Cout] = per-channel sums of gy
     for (std::int64_t c = 0; c < out_channels_; ++c) {
       const float* plane = gy + c * out_hw;

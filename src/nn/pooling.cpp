@@ -31,64 +31,167 @@ std::int64_t pooled_extent(std::int64_t in, std::int64_t kernel,
   return (in - kernel) / stride + 1;
 }
 
+// Scalar max-pool walk over every window, shared by the training forward
+// and serving. The update rule takes v when (v > best) or (best is NaN and
+// v is not): NaN candidates never win, a NaN seed is replaced by the first
+// non-NaN candidate, and an all-NaN window propagates NaN from its first
+// element. The seed is the window's own first element, so the argmax can
+// never escape the window: with a -inf seed and index 0, an all-NaN window
+// would route its gradient to global element 0 of the input — a
+// cross-sample leak. `argmax` (flat input index per output) may be null.
+void maxpool_scalar(const float* x, std::int64_t planes, std::int64_t h,
+                    std::int64_t w, std::int64_t kernel, std::int64_t stride,
+                    std::int64_t oh, std::int64_t ow, float* out,
+                    std::int64_t* argmax) {
+  std::int64_t o = 0;
+  for (std::int64_t p = 0; p < planes; ++p) {
+    const float* plane = x + p * h * w;
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox, ++o) {
+        std::int64_t best_idx = oy * stride * w + ox * stride;
+        float best = plane[best_idx];
+        for (std::int64_t ky = 0; ky < kernel; ++ky) {
+          const std::int64_t row = (oy * stride + ky) * w + ox * stride;
+          for (std::int64_t kx = 0; kx < kernel; ++kx) {
+            const float v = plane[row + kx];
+            if (v > best || (std::isnan(best) && !std::isnan(v))) {
+              best = v;
+              best_idx = row + kx;
+            }
+          }
+        }
+        out[o] = best;
+        if (argmax != nullptr) argmax[o] = p * h * w + best_idx;
+      }
+    }
+  }
+}
+
 #if SNE_POOL_X86
 
-// One fold step of the scalar update rule, per lane:
-//   take v when (v > best, ordered) or (best is NaN and v is not).
+// The scalar update rule as a per-lane mask: set where v replaces best.
 // _CMP_GT_OQ is false whenever either operand is NaN — exactly like the
-// scalar `v > best` — so the blend reproduces the scalar result bit for
-// bit, including the all-NaN window and the first-seen-zero tie cases.
-__attribute__((target("avx2"))) inline __m256 pool_fold_avx2(__m256 best,
-                                                             __m256 v) {
+// scalar `v > best` — so blending on this mask reproduces the scalar
+// result bit for bit, including the all-NaN window and the first-seen-zero
+// tie cases.
+__attribute__((target("avx2"))) inline __m256 pool_takes_avx2(__m256 best,
+                                                              __m256 v) {
   const __m256 gt = _mm256_cmp_ps(v, best, _CMP_GT_OQ);
   const __m256 nan_best = _mm256_cmp_ps(best, best, _CMP_UNORD_Q);
   const __m256 ord_v = _mm256_cmp_ps(v, v, _CMP_ORD_Q);
-  return _mm256_blendv_ps(best, v, _mm256_or_ps(gt, _mm256_and_ps(nan_best, ord_v)));
+  return _mm256_or_ps(gt, _mm256_and_ps(nan_best, ord_v));
 }
 
-// 2x2 stride-2 plane pool, eight output columns per iteration. The two
-// shuffles split 16 consecutive inputs into even/odd columns (lane-
-// scrambled, but identically for all four operands, so each lane still
-// folds one window in the scalar's encounter order: top-left, top-right,
-// bottom-left, bottom-right); one 64-bit permute restores output order.
-__attribute__((target("avx2"))) void maxpool_2x2_avx2(const float* plane,
-                                                      std::int64_t w,
-                                                      std::int64_t oh,
-                                                      std::int64_t ow,
-                                                      float* dst) {
-  for (std::int64_t oy = 0; oy < oh; ++oy) {
-    const float* r0 = plane + 2 * oy * w;
-    const float* r1 = r0 + w;
-    float* out = dst + oy * ow;
-    std::int64_t ox = 0;
-    for (; ox + 8 <= ow; ox += 8) {
-      const __m256 a0 = _mm256_loadu_ps(r0 + 2 * ox);
-      const __m256 a1 = _mm256_loadu_ps(r0 + 2 * ox + 8);
-      const __m256 b0 = _mm256_loadu_ps(r1 + 2 * ox);
-      const __m256 b1 = _mm256_loadu_ps(r1 + 2 * ox + 8);
-      const __m256 e0 = _mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(2, 0, 2, 0));
-      const __m256 o0 = _mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(3, 1, 3, 1));
-      const __m256 e1 = _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0));
-      const __m256 o1 = _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1));
-      const __m256 m =
-          pool_fold_avx2(pool_fold_avx2(pool_fold_avx2(e0, o0), e1), o1);
-      const __m256 fixed = _mm256_castpd_ps(_mm256_permute4x64_pd(
-          _mm256_castps_pd(m), _MM_SHUFFLE(3, 1, 2, 0)));
-      _mm256_storeu_ps(out + ox, fixed);
-    }
-    for (; ox < ow; ++ox) {
-      const float* win = r0 + 2 * ox;
-      float best = win[0];
-      for (int k = 1; k < 4; ++k) {
-        const float v = k < 2 ? win[k] : r1[2 * ox + k - 2];
-        if (v > best || (std::isnan(best) && !std::isnan(v))) best = v;
+// 2x2 stride-2 pool over `planes` planes, eight output columns per
+// iteration. The two shuffles split 16 consecutive inputs into even/odd
+// columns (lane-scrambled, but identically for all four operands, so each
+// lane still folds one window in the scalar's encounter order: top-left,
+// top-right, bottom-left, bottom-right); one 64-bit permute restores
+// output order. With kArgmax the same blend masks also select the winning
+// window slot (0..3) per lane, which becomes the flat input index — the
+// training forward's argmax, equal to maxpool_scalar's. Serving
+// instantiates kArgmax = false, which carries none of that work.
+template <bool kArgmax>
+__attribute__((target("avx2"))) void maxpool_2x2_avx2(
+    const float* x, std::int64_t planes, std::int64_t h, std::int64_t w,
+    std::int64_t oh, std::int64_t ow, float* dst, std::int64_t* argmax) {
+  const __m256 slot1 = _mm256_castsi256_ps(_mm256_set1_epi32(1));
+  const __m256 slot2 = _mm256_castsi256_ps(_mm256_set1_epi32(2));
+  const __m256 slot3 = _mm256_castsi256_ps(_mm256_set1_epi32(3));
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i wv = _mm256_set1_epi32(static_cast<int>(w));
+  // Input column offset of output lane l within its row pair: 2·l.
+  const __m256i lane2 = _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14);
+  for (std::int64_t p = 0; p < planes; ++p) {
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      const std::int64_t row0 = p * h * w + 2 * oy * w;
+      const float* r0 = x + row0;
+      const float* r1 = r0 + w;
+      const std::int64_t o = (p * oh + oy) * ow;
+      std::int64_t ox = 0;
+      for (; ox + 8 <= ow; ox += 8) {
+        const __m256 a0 = _mm256_loadu_ps(r0 + 2 * ox);
+        const __m256 a1 = _mm256_loadu_ps(r0 + 2 * ox + 8);
+        const __m256 b0 = _mm256_loadu_ps(r1 + 2 * ox);
+        const __m256 b1 = _mm256_loadu_ps(r1 + 2 * ox + 8);
+        const __m256 e0 = _mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(2, 0, 2, 0));
+        const __m256 o0 = _mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(3, 1, 3, 1));
+        const __m256 e1 = _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0));
+        const __m256 o1 = _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1));
+        const __m256 t1 = pool_takes_avx2(e0, o0);
+        __m256 m = _mm256_blendv_ps(e0, o0, t1);
+        const __m256 t2 = pool_takes_avx2(m, e1);
+        m = _mm256_blendv_ps(m, e1, t2);
+        const __m256 t3 = pool_takes_avx2(m, o1);
+        m = _mm256_blendv_ps(m, o1, t3);
+        _mm256_storeu_ps(dst + o + ox,
+                         _mm256_castpd_ps(_mm256_permute4x64_pd(
+                             _mm256_castps_pd(m), _MM_SHUFFLE(3, 1, 2, 0))));
+        if constexpr (!kArgmax) continue;
+        __m256 slot = _mm256_and_ps(t1, slot1);
+        slot = _mm256_blendv_ps(slot, slot2, t2);
+        slot = _mm256_blendv_ps(slot, slot3, t3);
+        const __m256i s = _mm256_permute4x64_epi64(_mm256_castps_si256(slot),
+                                                   _MM_SHUFFLE(3, 1, 2, 0));
+        // slot → offset from the window's top-left: (slot/2)·w + slot%2.
+        const __m256i off = _mm256_add_epi32(
+            _mm256_add_epi32(lane2, _mm256_and_si256(s, one)),
+            _mm256_mullo_epi32(_mm256_srli_epi32(s, 1), wv));
+        const __m256i base = _mm256_set1_epi64x(row0 + 2 * ox);
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i*>(argmax + o + ox),
+            _mm256_add_epi64(base,
+                             _mm256_cvtepi32_epi64(_mm256_castsi256_si128(off))));
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i*>(argmax + o + ox + 4),
+            _mm256_add_epi64(
+                base, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(off, 1))));
       }
-      out[ox] = best;
+      for (; ox < ow; ++ox) {
+        std::int64_t best_idx = row0 + 2 * ox;
+        float best = x[best_idx];
+        for (int k = 1; k < 4; ++k) {
+          const std::int64_t idx = row0 + (k >> 1) * w + 2 * ox + (k & 1);
+          const float v = x[idx];
+          if (v > best || (std::isnan(best) && !std::isnan(v))) {
+            best = v;
+            best_idx = idx;
+          }
+        }
+        dst[o + ox] = best;
+        if constexpr (kArgmax) argmax[o + ox] = best_idx;
+      }
     }
   }
 }
 
 #endif  // SNE_POOL_X86
+
+// The one max-pool forward kernel: 2x2/stride-2 windows take the vector
+// plane pool on the AVX2 tier (bitwise identical to the scalar walk, see
+// pool_takes_avx2, and pinned against it by the dispatch test); every
+// other window and tier takes maxpool_scalar. Training asks for the
+// argmax backward needs, serving passes null.
+void maxpool_into(ConstTensorView x, std::int64_t kernel, std::int64_t stride,
+                  float* out, std::int64_t* argmax) {
+  const std::int64_t planes = x.extent(0) * x.extent(1);
+  const std::int64_t h = x.extent(2);
+  const std::int64_t w = x.extent(3);
+  const std::int64_t oh = pooled_extent(h, kernel, stride);
+  const std::int64_t ow = pooled_extent(w, kernel, stride);
+#if SNE_POOL_X86
+  if (kernel == 2 && stride == 2 && gemm_tier() == GemmTier::Avx2Fma) {
+    if (argmax != nullptr) {
+      maxpool_2x2_avx2<true>(x.data(), planes, h, w, oh, ow, out, argmax);
+    } else {
+      maxpool_2x2_avx2<false>(x.data(), planes, h, w, oh, ow, out, nullptr);
+    }
+    return;
+  }
+#endif
+  maxpool_scalar(x.data(), planes, h, w, kernel, stride, oh, ow, out,
+                 argmax);
+}
 
 }  // namespace
 
@@ -101,98 +204,21 @@ MaxPool2d::MaxPool2d(std::int64_t kernel, std::int64_t stride)
 
 Tensor MaxPool2d::forward(const Tensor& x) {
   check_pool_input(x, kernel_);
-  const std::int64_t n = x.extent(0);
-  const std::int64_t c = x.extent(1);
-  const std::int64_t h = x.extent(2);
-  const std::int64_t w = x.extent(3);
-  const std::int64_t oh = pooled_extent(h, kernel_, stride_);
-  const std::int64_t ow = pooled_extent(w, kernel_, stride_);
-
   cached_in_shape_ = x.shape();
-  Tensor y({n, c, oh, ow});
-  argmax_.assign(static_cast<std::size_t>(y.size()), 0);
-
-  std::int64_t out = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = x.data() + (i * c + ch) * h * w;
-      const std::int64_t plane_base = (i * c + ch) * h * w;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox, ++out) {
-          // Seed the argmax with the window's own first element so the
-          // gradient can never escape the window: with a -inf seed and
-          // best_idx = 0, an all-NaN window would route its gradient to
-          // global element 0 of the input — a cross-sample leak. NaN
-          // candidates are skipped (they never win), a NaN seed is
-          // replaced by the first finite candidate, and an all-NaN
-          // window propagates NaN from its first element.
-          const std::int64_t first = oy * stride_ * w + ox * stride_;
-          float best = plane[first];
-          std::int64_t best_idx = plane_base + first;
-          for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-            const std::int64_t iy = oy * stride_ + ky;
-            for (std::int64_t kx = 0; kx < kernel_; ++kx) {
-              const std::int64_t ix = ox * stride_ + kx;
-              const float v = plane[iy * w + ix];
-              if (v > best || (std::isnan(best) && !std::isnan(v))) {
-                best = v;
-                best_idx = plane_base + iy * w + ix;
-              }
-            }
-          }
-          y[out] = best;
-          argmax_[static_cast<std::size_t>(out)] = best_idx;
-        }
-      }
-    }
-  }
+  Tensor y({x.extent(0), x.extent(1),
+            pooled_extent(x.extent(2), kernel_, stride_),
+            pooled_extent(x.extent(3), kernel_, stride_)});
+  argmax_.resize(static_cast<std::size_t>(y.size()));
+  maxpool_into(x, kernel_, stride_, y.data(), argmax_.data());
   return y;
 }
 
 void MaxPool2d::infer_into(ConstTensorView x, Tensor& out) const {
   check_pool_input(x, kernel_);
-  const std::int64_t n = x.extent(0);
-  const std::int64_t c = x.extent(1);
-  const std::int64_t h = x.extent(2);
-  const std::int64_t w = x.extent(3);
-  const std::int64_t oh = pooled_extent(h, kernel_, stride_);
-  const std::int64_t ow = pooled_extent(w, kernel_, stride_);
-
-  out.resize({n, c, oh, ow});
-#if SNE_POOL_X86
-  // The serving-shaped window (2x2, stride 2) takes the vector plane
-  // pool — bitwise identical to the scalar walk below (see pool_fold_avx2)
-  // and pinned against it by the dispatch test.
-  if (kernel_ == 2 && stride_ == 2 &&
-      gemm_tier() == GemmTier::Avx2Fma) {
-    for (std::int64_t p = 0; p < n * c; ++p) {
-      maxpool_2x2_avx2(x.data() + p * h * w, w, oh, ow,
-                       out.data() + p * oh * ow);
-    }
-    return;
-  }
-#endif
-  // Same window walk and NaN semantics as forward, without the argmax
-  // bookkeeping backward needs.
-  std::int64_t o = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* plane = x.data() + (i * c + ch) * h * w;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox, ++o) {
-          float best = plane[oy * stride_ * w + ox * stride_];
-          for (std::int64_t ky = 0; ky < kernel_; ++ky) {
-            const float* row = plane + (oy * stride_ + ky) * w + ox * stride_;
-            for (std::int64_t kx = 0; kx < kernel_; ++kx) {
-              const float v = row[kx];
-              if (v > best || (std::isnan(best) && !std::isnan(v))) best = v;
-            }
-          }
-          out[o] = best;
-        }
-      }
-    }
-  }
+  out.resize({x.extent(0), x.extent(1),
+              pooled_extent(x.extent(2), kernel_, stride_),
+              pooled_extent(x.extent(3), kernel_, stride_)});
+  maxpool_into(x, kernel_, stride_, out.data(), nullptr);
 }
 
 Shape MaxPool2d::infer_shape(const Shape& in) const {

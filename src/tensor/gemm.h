@@ -100,6 +100,20 @@ void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 
 /// C[m×n] = alpha * A[m×k] · Bᵀ (B is n×k) + beta * C. Same forward-only
 /// epilogue contract as sgemm_at.
+///
+/// sgemm_bt is a scalar dot-product loop with double accumulation and must
+/// stay OFF the dispatched panel kernel, for two reasons:
+///  - it is independent of the kernel tier, and the int8 plan's fp32
+///    Linear steps run through it, so the quantized session's bits do not
+///    move with the tier (Int8Parity.QuantizedSessionIsBitwiseInvariant);
+///  - each C element is one dot product whatever the other rows are. The
+///    AVX2 panel kernel (gemm_block_avx2) is not invariant to row grouping:
+///    its scalar column tails (n % 8 != 0) round differently in its 6-, 4-
+///    and 1-row paths. Linear's GEMM rows are batch rows, so on that kernel
+///    a sample's score would depend on the batch it was scored in
+///    (InferParity.JointSessionRowsMatchAcrossBatchSizes).
+/// Convolution backward therefore computes its weight gradient with
+/// sgemm_serial on an explicitly transposed column panel instead.
 void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const float* a, const float* b, float beta, float* c);
 void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,

@@ -29,11 +29,16 @@ RuntimeConfig& storage() {
   // binary without per-tool plumbing. Pool width is NOT applied here:
   // the pool itself consults current().threads on first use, and eager
   // application would recurse into it.
-  static RuntimeConfig config = [] {
-    RuntimeConfig c = RuntimeConfig::from_env();
-    if (c.trace) {
+  //
+  // Leaked on purpose, like the obs registry: the exit hook is registered
+  // while this initializer runs, i.e. BEFORE a function-local static
+  // would finish construction, so such a static is destroyed before the
+  // hook runs and the hook would read a dead trace_path.
+  static RuntimeConfig& config = *[] {
+    auto* c = new RuntimeConfig(RuntimeConfig::from_env());
+    if (c->trace) {
       obs::enable();
-      if (!c.trace_path.empty()) std::atexit(write_trace_at_exit);
+      if (!c->trace_path.empty()) std::atexit(write_trace_at_exit);
     }
     return c;
   }();

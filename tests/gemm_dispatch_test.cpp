@@ -5,7 +5,9 @@
 // runs, thread-count sweeps, serial-vs-pooled drivers), and the fused
 // epilogue (bias + PReLU) must change no bits relative to the separate
 // passes it replaces. Also pins the 1×1 conv fast path: bitwise equal to
-// the im2col lowering and free of column-buffer allocations.
+// the im2col lowering and free of column-buffer allocations, and the
+// 2×2 max pool's AVX2 kernel (serving and training, argmax included)
+// against the scalar walk.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -472,6 +474,54 @@ TEST(MaxPoolDispatch, VectorPlanePoolMatchesScalarWalkBitwise) {
   // The all-NaN window must have stayed NaN on both paths.
   EXPECT_TRUE(std::isnan(ref.data()[0]));
   EXPECT_TRUE(std::isnan(got.data()[0]));
+}
+
+TEST(MaxPoolDispatch, TrainingForwardAndBackwardMatchScalarTierBitwise) {
+  // MaxPool2d::forward takes the same 2×2 AVX2 kernel as serving, with
+  // the argmax blended from the fold masks. Outputs, argmax routing (seen
+  // through backward: windows are disjoint and every upstream gradient is
+  // distinct, so any argmax difference moves a value) and the serving
+  // output must all equal the scalar walk, on odd and even extents whose
+  // values are drawn from a small set full of NaNs, signed zeros and ties.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float values[] = {nan, -0.0f, 0.0f, 1.0f, -1.0f, 2.0f, 1.0f, nan};
+  const std::int64_t extents[][2] = {{2, 2},  {3, 17}, {12, 22},
+                                     {13, 23}, {8, 16}, {7, 35}};
+  TierGuard guard;
+  for (const auto& e : extents) {
+    const std::int64_t h = e[0], w = e[1];
+    Rng rng(static_cast<std::uint64_t>(100 + h * w));
+    Tensor x({2, 3, h, w});
+    for (std::int64_t j = 0; j < x.size(); ++j) {
+      x[j] = values[rng.uniform_index(8)];
+    }
+    nn::MaxPool2d pool(2);
+    const auto run = [&](GemmTier tier, Tensor& y, Tensor& gx, Tensor& yi) {
+      set_gemm_tier(tier);
+      y = pool.forward(x);
+      Tensor gy(y.shape());
+      for (std::int64_t j = 0; j < gy.size(); ++j) {
+        gy[j] = static_cast<float>(j + 1);
+      }
+      gx = pool.backward(gy);
+      pool.infer_into(x, yi);
+    };
+    Tensor y_ref, gx_ref, yi_ref;
+    run(GemmTier::Scalar, y_ref, gx_ref, yi_ref);
+    if (!vector_tier_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+    Tensor y, gx, yi;
+    run(GemmTier::Avx2Fma, y, gx, yi);
+    const auto same = [](const Tensor& a, const Tensor& b) {
+      return a.shape() == b.shape() &&
+             std::memcmp(a.data(), b.data(),
+                         sizeof(float) * static_cast<std::size_t>(a.size())) ==
+                 0;
+    };
+    EXPECT_TRUE(same(y, y_ref)) << h << "x" << w;
+    EXPECT_TRUE(same(gx, gx_ref)) << h << "x" << w;
+    EXPECT_TRUE(same(yi, y_ref)) << h << "x" << w;
+    EXPECT_TRUE(same(yi_ref, y_ref)) << h << "x" << w;
+  }
 }
 
 // ---- quantize helpers feeding igemm ----

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <span>
 #include <stdexcept>
@@ -153,6 +154,49 @@ TEST(InferParity, JointSessionMatchesEvalForward) {
   const Tensor got = session.run(x);
   ASSERT_EQ(got.shape(), ref.shape());
   EXPECT_TRUE(got.allclose(ref, 1e-3f));
+}
+
+TEST(InferParity, JointSessionRowsMatchAcrossBatchSizes) {
+  // A sample's score must not depend on the batch it is scored in: each
+  // row of a batch-32 joint score equals that row scored alone, bit for
+  // bit. The server's micro-batcher groups requests arbitrarily, so its
+  // responses rely on this. It holds because every GEMM whose rows are
+  // batch rows (the fp32 Linear steps, via sgemm_bt) is a per-element dot
+  // product; the AVX2 panel kernel's column tails would break it.
+  Rng rng(19);
+  JointModelConfig jc;
+  jc.cnn.input_size = kStamp;
+  JointModel joint(jc, rng);
+  {
+    const Tensor warm = Tensor::rand_uniform(
+        {2, JointModel::input_dim(kStamp)}, rng, -50.0f, 400.0f);
+    (void)joint.forward(warm);
+  }
+  joint.set_training(false);
+
+  constexpr std::int64_t kBatch = 32;
+  const std::int64_t dim = JointModel::input_dim(kStamp);
+  Tensor x = Tensor::rand_uniform({kBatch, dim}, rng, -50.0f, 400.0f);
+  for (std::int64_t i = 0; i < kBatch; ++i) {
+    float* row = x.data() + (i + 1) * dim - 5;
+    for (int b = 0; b < 5; ++b) row[b] = static_cast<float>(0.1 * (b + 1));
+  }
+
+  infer::JointSession session = make_session(joint);
+  const Tensor batched = session.run(x);
+  ASSERT_EQ(batched.extent(0), kBatch);
+  const std::int64_t width = batched.size() / kBatch;
+  Tensor single({1, dim});
+  Tensor out;
+  for (std::int64_t i = 0; i < kBatch; ++i) {
+    std::copy(x.data() + i * dim, x.data() + (i + 1) * dim, single.data());
+    session.run(single, out);
+    ASSERT_EQ(out.size(), width);
+    EXPECT_EQ(std::memcmp(out.data(), batched.data() + i * width,
+                          sizeof(float) * static_cast<std::size_t>(width)),
+              0)
+        << "row " << i;
+  }
 }
 
 TEST(InferParity, RepeatedRunsAreBitwiseIdentical) {

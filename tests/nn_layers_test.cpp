@@ -1,11 +1,18 @@
 // nn_layers_test.cpp — forward-pass semantics of every layer: shapes,
-// hand-computed values, mode switching, and parameter bookkeeping.
+// hand-computed values, mode switching, and parameter bookkeeping. Also
+// the training backward kernels that must stay exact: Conv2d gradients
+// against direct sums (and across pool widths), and PReLU backward
+// against the branchy loop it replaced.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <tuple>
+#include <vector>
 
 #include "nn/nn.h"
+#include "tensor/thread_pool.h"
 
 namespace sne::nn {
 namespace {
@@ -94,6 +101,122 @@ TEST(Conv2d, KernelLargerThanInputThrows) {
   EXPECT_THROW(conv.forward(Tensor({1, 1, 3, 3})), std::invalid_argument);
 }
 
+// ---- Conv2d backward against a direct-convolution reference ----
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<std::size_t>(a.size())) == 0;
+}
+
+struct ConvGrads {
+  Tensor gx, gw, gb;
+};
+
+// Forward + backward of a fresh layer (fixed seed) at the given pool width.
+ConvGrads conv_grads(std::int64_t cin, std::int64_t cout, std::int64_t k,
+                     std::int64_t stride, std::int64_t pad, const Tensor& x,
+                     const Tensor& gy, int threads) {
+  set_num_threads(threads);
+  Rng rng(41);
+  Conv2d conv(cin, cout, k, rng, stride, pad);
+  (void)conv.forward(x);
+  conv.zero_grad();
+  ConvGrads g;
+  g.gx = conv.backward(gy);
+  g.gw = conv.weight().grad;
+  g.gb = conv.bias().grad;
+  set_num_threads(1);
+  return g;
+}
+
+// (Cin, Cout, kernel, stride, pad, H, W): the band CNN's three conv
+// stages at stamp 36 (dW shapes 25×1024, 250×144, 500×4), the 1×1 fast
+// path, and ragged strided/padded sizes.
+class ConvBackwardReference
+    : public ::testing::TestWithParam<
+          std::tuple<int, int, int, int, int, int, int>> {};
+
+TEST_P(ConvBackwardReference, MatchesDirectSumsAndIsPoolWidthInvariant) {
+  const auto [cin, cout, k, stride, pad, h, w] = GetParam();
+  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
+  const std::int64_t ow = (w + 2 * pad - k) / stride + 1;
+  const std::int64_t n = 3;
+  Rng rng(43);
+  const Tensor x = Tensor::randn({n, cin, h, w}, rng);
+  const Tensor gy = Tensor::randn({n, cout, oh, ow}, rng);
+
+  const ConvGrads one = conv_grads(cin, cout, k, stride, pad, x, gy, 1);
+  const ConvGrads four = conv_grads(cin, cout, k, stride, pad, x, gy, 4);
+  EXPECT_TRUE(same_bytes(one.gx, four.gx));
+  EXPECT_TRUE(same_bytes(one.gw, four.gw));
+  EXPECT_TRUE(same_bytes(one.gb, four.gb));
+
+  Rng wrng(41);
+  const Conv2d ref_layer(cin, cout, k, wrng, stride, pad);
+  const float* wt = ref_layer.weight().value.data();
+  // Direct sums in double, each with the sum of its terms' magnitudes as
+  // the scale of its float rounding error.
+  std::vector<double> dw(static_cast<std::size_t>(cout * cin * k * k));
+  std::vector<double> dw_mag(dw.size());
+  std::vector<double> dx(static_cast<std::size_t>(x.size()));
+  std::vector<double> dx_mag(dx.size());
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t co = 0; co < cout; ++co) {
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          const double g = gy.data()[((i * cout + co) * oh + oy) * ow + ox];
+          for (std::int64_t ci = 0; ci < cin; ++ci) {
+            for (std::int64_t ky = 0; ky < k; ++ky) {
+              for (std::int64_t kx = 0; kx < k; ++kx) {
+                const std::int64_t iy = oy * stride + ky - pad;
+                const std::int64_t ix = ox * stride + kx - pad;
+                if (iy < 0 || iy >= h || ix < 0 || ix >= w) continue;
+                const std::size_t wi =
+                    static_cast<std::size_t>(((co * cin + ci) * k + ky) * k +
+                                             kx);
+                const std::size_t xi = static_cast<std::size_t>(
+                    ((i * cin + ci) * h + iy) * w + ix);
+                dw[wi] += g * x.data()[xi];
+                dw_mag[wi] += std::abs(g * x.data()[xi]);
+                dx[xi] += g * wt[wi];
+                dx_mag[xi] += std::abs(g * wt[wi]);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  for (std::size_t j = 0; j < dw.size(); ++j) {
+    ASSERT_NEAR(one.gw.data()[j], dw[j], 1e-5 * dw_mag[j] + 1e-6)
+        << "dW element " << j;
+  }
+  for (std::size_t j = 0; j < dx.size(); ++j) {
+    ASSERT_NEAR(one.gx.data()[j], dx[j], 1e-5 * dx_mag[j] + 1e-6)
+        << "dX element " << j;
+  }
+  for (std::int64_t co = 0; co < cout; ++co) {
+    double db = 0.0, db_mag = 0.0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t p = 0; p < oh * ow; ++p) {
+        db += gy.data()[(i * cout + co) * oh * ow + p];
+        db_mag += std::abs(gy.data()[(i * cout + co) * oh * ow + p]);
+      }
+    }
+    EXPECT_NEAR(one.gb[co], db, 1e-5 * db_mag + 1e-6) << "db channel " << co;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvBackwardReference,
+    ::testing::Values(std::make_tuple(1, 10, 5, 1, 0, 36, 36),
+                      std::make_tuple(10, 20, 5, 1, 0, 16, 16),
+                      std::make_tuple(20, 30, 5, 1, 0, 6, 6),
+                      std::make_tuple(5, 9, 1, 1, 0, 7, 13),
+                      std::make_tuple(3, 7, 3, 2, 1, 9, 11),
+                      std::make_tuple(2, 13, 4, 1, 2, 5, 19)));
+
 TEST(MaxPool2d, SelectsMaxima) {
   MaxPool2d pool(2);
   const Tensor x({1, 1, 4, 4},
@@ -169,6 +292,73 @@ TEST(PReLU, PerChannelSlopes) {
   const Tensor y = act.forward(x);
   EXPECT_FLOAT_EQ(y[0], -1.0f);
   EXPECT_FLOAT_EQ(y[1], -9.0f);
+}
+
+TEST(PReLU, BranchFreeBackwardMatchesBranchyLoopBitwise) {
+  // The pre-change PReLU backward, verbatim: gx by branch, and the slope
+  // gradient summed in double over the non-positive inputs only.
+  const auto reference = [](const Tensor& x, const Tensor& gy,
+                            const Tensor& slope, Tensor& gx, Tensor& da_out) {
+    const std::int64_t n = x.extent(0);
+    const std::int64_t channels = x.extent(1);
+    const std::int64_t spatial = x.size() / (n * channels);
+    gx = Tensor(x.shape());
+    da_out = Tensor({channels});
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t c = 0; c < channels; ++c) {
+        const float a = slope[c];
+        const float* xin = x.data() + (i * channels + c) * spatial;
+        const float* g = gy.data() + (i * channels + c) * spatial;
+        float* out = gx.data() + (i * channels + c) * spatial;
+        double da = 0.0;
+        for (std::int64_t p = 0; p < spatial; ++p) {
+          if (xin[p] > 0.0f) {
+            out[p] = g[p];
+          } else {
+            out[p] = a * g[p];
+            da += static_cast<double>(g[p]) * xin[p];
+          }
+        }
+        da_out[c] += static_cast<float>(da);
+      }
+    }
+  };
+
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(45);
+  Tensor x = Tensor::randn({3, 4, 5, 7}, rng);
+  Tensor gy = Tensor::randn(x.shape(), rng);
+  // Signed zeros everywhere; infinities (with zero and nonzero upstream
+  // gradients, so a masked +inf·0 = NaN must not leak) in channel 0 only,
+  // so the other channels keep finite slope gradients.
+  for (std::int64_t j = 0; j < x.size(); j += 5) x[j] = 0.0f;
+  for (std::int64_t j = 2; j < x.size(); j += 7) x[j] = -0.0f;
+  for (std::int64_t i = 0; i < 3; ++i) {
+    float* ch0 = x.data() + i * 4 * 35;
+    float* g0 = gy.data() + i * 4 * 35;
+    ch0[1] = inf;
+    g0[1] = 0.0f;
+    ch0[3] = inf;
+    ch0[6] = -inf;
+    if (i == 2) {
+      ch0[8] = -inf;
+      g0[8] = 0.0f;
+    }
+  }
+  for (std::int64_t j = 11; j < gy.size(); j += 13) gy[j] = -0.0f;
+
+  PReLU act(4, 0.25f);
+  act.params()[0]->value = Tensor({4}, {0.25f, -0.5f, 0.1f, 1.5f});
+  (void)act.forward(x);
+  act.zero_grad();
+  const Tensor gx = act.backward(gy);
+
+  Tensor gx_ref, da_ref;
+  reference(x, gy, act.params()[0]->value, gx_ref, da_ref);
+  EXPECT_TRUE(same_bytes(gx, gx_ref));
+  EXPECT_TRUE(same_bytes(act.params()[0]->grad, da_ref));
+  // Channel 0 saw −inf·g terms; the rest stayed finite.
+  EXPECT_TRUE(std::isfinite(da_ref[1]));
 }
 
 TEST(ReLU, ClampsNegatives) {

@@ -1,17 +1,27 @@
 // obs_test.cpp — the telemetry subsystem: span nesting and cross-thread
 // recording, exact counters under concurrency, gauge high-water marks,
 // chrome-trace JSON well-formedness, reset semantics, the zero-allocation
-// disabled path, and the RuntimeConfig/env surface built on top of it.
+// disabled path, and the RuntimeConfig/env surface built on top of it,
+// including the SNE_TRACE=path exit hook (checked in a child process).
 // Carries the `threaded` ctest label: spans and counters are recorded
 // from pool workers, so the tsan preset exercises the per-thread logs.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <new>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.h"
@@ -39,6 +49,8 @@ void* operator new(std::size_t size) {
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+extern char** environ;
 
 namespace sne {
 namespace {
@@ -316,6 +328,152 @@ TEST(RuntimeConfigTest, ResolvePrefetchAndTraceToggle) {
   EXPECT_FALSE(obs::enabled());
 
   RuntimeConfig::set_current(saved);
+}
+
+// Recursive-descent check of the JSON grammar (RFC 8259); no
+// semantics, just "would a JSON parser accept this text".
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string text) : s_(std::move(text)) {}
+
+  bool valid() {
+    if (!value()) return false;
+    ws();
+    return i_ == s_.size();
+  }
+
+ private:
+  void ws() {
+    while (i_ < s_.size() && std::strchr(" \t\r\n", s_[i_]) != nullptr) ++i_;
+  }
+  bool eat(char c) {
+    ws();
+    if (i_ < s_.size() && s_[i_] == c) {
+      ++i_;
+      return true;
+    }
+    return false;
+  }
+  bool digits() {
+    const std::size_t start = i_;
+    while (i_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[i_]))) {
+      ++i_;
+    }
+    return i_ > start;
+  }
+  bool number() {
+    if (s_[i_] == '-') ++i_;
+    if (!digits()) return false;
+    if (i_ < s_.size() && s_[i_] == '.') {
+      ++i_;
+      if (!digits()) return false;
+    }
+    if (i_ < s_.size() && (s_[i_] == 'e' || s_[i_] == 'E')) {
+      ++i_;
+      if (i_ < s_.size() && (s_[i_] == '+' || s_[i_] == '-')) ++i_;
+      if (!digits()) return false;
+    }
+    return true;
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (i_ < s_.size() && s_[i_] != '"') {
+      if (static_cast<unsigned char>(s_[i_]) < 0x20) return false;
+      if (s_[i_] == '\\') ++i_;
+      ++i_;
+    }
+    if (i_ >= s_.size()) return false;
+    ++i_;  // the closing quote
+    return true;
+  }
+  bool value() {
+    ws();
+    if (i_ >= s_.size()) return false;
+    const char c = s_[i_];
+    if (c == '{') {
+      ++i_;
+      if (eat('}')) return true;
+      do {
+        if (!string() || !eat(':') || !value()) return false;
+      } while (eat(','));
+      return eat('}');
+    }
+    if (c == '[') {
+      ++i_;
+      if (eat(']')) return true;
+      do {
+        if (!value()) return false;
+      } while (eat(','));
+      return eat(']');
+    }
+    if (c == '"') return string();
+    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
+      return number();
+    }
+    for (const char* lit : {"true", "false", "null"}) {
+      if (s_.compare(i_, std::strlen(lit), lit) == 0) {
+        i_ += std::strlen(lit);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::string s_;
+  std::size_t i_ = 0;
+};
+
+// The child half of the test below. Run on its own (SNE_TRACE unset) it
+// records into a disabled registry, which is a no-op.
+TEST(RuntimeTraceEnv, ChildRecordsSpan) {
+  (void)RuntimeConfig::current();  // first touch applies SNE_TRACE
+  obs::Span span("test.env_trace_child", 7);
+}
+
+// SNE_TRACE=<path> must make ANY binary write its chrome trace at exit:
+// run this test binary as a child with the variable set, filtered to the
+// span-recording test above, and parse the file it leaves behind.
+TEST(RuntimeTraceEnv, ExitHookWritesChromeTraceFile) {
+  char exe[4096];
+  const ssize_t len = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+  ASSERT_GT(len, 0);
+  exe[len] = '\0';
+  const std::string path = testing::TempDir() + "sne_env_trace.json";
+  std::remove(path.c_str());
+
+  std::vector<std::string> env;
+  for (char** e = environ; *e != nullptr; ++e) {
+    if (std::strncmp(*e, "SNE_TRACE=", 10) != 0) env.emplace_back(*e);
+  }
+  env.push_back("SNE_TRACE=" + path);
+  std::vector<char*> envp;
+  for (std::string& e : env) envp.push_back(e.data());
+  envp.push_back(nullptr);
+  std::string filter = "--gtest_filter=RuntimeTraceEnv.ChildRecordsSpan";
+  char* argv[] = {exe, filter.data(), nullptr};
+
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, "/dev/null",
+                                   O_WRONLY, 0);
+  pid_t pid = 0;
+  const int rc = posix_spawn(&pid, exe, &actions, nullptr, argv, envp.data());
+  posix_spawn_file_actions_destroy(&actions);
+  ASSERT_EQ(rc, 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "SNE_TRACE wrote no file at " << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  std::remove(path.c_str());
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"test.env_trace_child\""),
+            std::string::npos);
 }
 
 }  // namespace

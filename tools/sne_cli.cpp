@@ -105,7 +105,7 @@ Args parse_args(int argc, char** argv) {
     }
     const std::string name = token.substr(2);
     if (is_flag(name)) {
-      args.options[name] = "1";
+      args.options[name] = '1';
       continue;
     }
     if (i + 1 >= argc) {
@@ -328,6 +328,16 @@ int cmd_info(const Args& args) {
   throw std::runtime_error("info needs --dataset or --model");
 }
 
+// "2x36x36" for a shape's extents.
+std::string join_extents(const Shape& shape) {
+  std::string out;
+  for (const std::int64_t e : shape) {
+    if (!out.empty()) out += 'x';
+    out += std::to_string(e);
+  }
+  return out;
+}
+
 // Renders a generated dataset once through the training pipeline's
 // dataset factories and caches the tensors in a .snap file; training and
 // benches can then replay epochs from the snapshot (mmap-backed, zero
@@ -336,13 +346,8 @@ int cmd_snapshot(const Args& args) {
   if (args.has("info")) {
     const std::string path = args.get("info", "");
     const data::SnapshotInfo info = data::read_snapshot_info(path);
-    std::string xs, ys;
-    for (const auto e : info.x_shape) {
-      xs += (xs.empty() ? "" : "x") + std::to_string(e);
-    }
-    for (const auto e : info.y_shape) {
-      ys += (ys.empty() ? "" : "x") + std::to_string(e);
-    }
+    const std::string xs = join_extents(info.x_shape);
+    const std::string ys = join_extents(info.y_shape);
     std::printf("snapshot: v%llu, %lld samples, x %s, y %s (%.1f MiB)\n",
                 static_cast<unsigned long long>(info.version),
                 static_cast<long long>(info.count), xs.c_str(), ys.c_str(),
