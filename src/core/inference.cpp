@@ -47,15 +47,18 @@ infer::PlanOptions plan_options(const SessionOptions& options) {
 std::shared_ptr<const infer::InferencePlan> compile_plan(
     const BandCnn& cnn, const SessionOptions& options) {
   const std::int64_t s = cnn.config().input_size;
-  return std::make_shared<const infer::InferencePlan>(
-      cnn.net(), Shape{2, s, s}, plan_options(options));
+  infer::PlanOptions plan = plan_options(options);
+  plan.name = "band_cnn";
+  return std::make_shared<const infer::InferencePlan>(cnn.net(),
+                                                      Shape{2, s, s}, plan);
 }
 
 std::shared_ptr<const infer::InferencePlan> compile_plan(
     const LcClassifier& classifier, const SessionOptions& options) {
+  infer::PlanOptions plan = plan_options(options);
+  plan.name = "classifier";
   return std::make_shared<const infer::InferencePlan>(
-      classifier.net(), Shape{classifier.config().input_dim},
-      plan_options(options));
+      classifier.net(), Shape{classifier.config().input_dim}, plan);
 }
 
 infer::InferenceSession make_session(const BandCnn& cnn,

@@ -104,7 +104,7 @@ InferencePlan::InferencePlan(const nn::Sequential& net,
     cur = layer.infer_shape(cur);  // BN/PReLU preserve shape, so this holds
     step.sample_out = cur;
     step.trace_name = obs::intern(
-        "infer." + std::to_string(steps_.size()) + "." +
+        "infer." + options.name + "." + std::to_string(steps_.size()) + "." +
         layer_type_name(layer) + (step.folded ? "+bn" : "") +
         (fused_prelu ? "+prelu" : ""));
     steps_.push_back(std::move(step));

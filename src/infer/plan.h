@@ -67,6 +67,11 @@ struct PlanOptions {
   /// Borrowed during plan construction only (the plan copies what it
   /// keeps). Required when precision == Precision::Int8.
   const CalibrationTable* calibration = nullptr;
+  /// Names the plan in its steps' obs spans, "infer.<name>.<i>.<layer>",
+  /// so a trace of several plans (the joint model's band CNN and
+  /// classifier, the cascade's tier 1) keeps their steps apart. The core
+  /// factories use "band_cnn" and "classifier", stream's tier 1 "tier1".
+  std::string name = "plan";
 };
 
 /// One executable step of the plan. Either a layer invocation (possibly
@@ -127,7 +132,7 @@ class InferencePlan {
     QTensor qweight;
     Tensor requant;  ///< [Cout]
     float input_inv_scale = 0.0f;
-    /// Interned obs span label ("infer.<i>.<layer type>"), stable for
+    /// Interned obs span label ("infer.<plan>.<i>.<layer type>"), stable for
     /// the process — safe to reference from trace records that outlive
     /// the plan.
     const char* trace_name = nullptr;

@@ -32,6 +32,54 @@ void transpose_into(const float* src, std::int64_t rows, std::int64_t cols,
   }
 }
 
+// Serving convs whose output plane is narrower than one 16-column GEMM
+// register tile lower several samples into one column panel, up to this
+// many columns (one GEMM column block). Planes that already fill whole
+// tiles keep one GEMM per sample: grouping them measured no faster.
+constexpr std::int64_t kGroupTileColumns = 16;
+constexpr std::int64_t kGroupColumns = 256;
+
+std::int64_t samples_per_gemm(std::int64_t out_hw) {
+  return out_hw < kGroupTileColumns ? kGroupColumns / out_hw : 1;
+}
+
+// Columns of the widest GEMM a batch of n samples runs.
+std::int64_t group_columns(std::int64_t n, std::int64_t out_hw) {
+  return out_hw * std::min(n, samples_per_gemm(out_hw));
+}
+
+// The serving lowering shared by both precisions. Samples run in groups of
+// g = samples_per_gemm(H'W'): lower(i, cols_offset, ld) writes sample i's
+// column matrix at column offset cols_offset of a panel whose rows are ld
+// apart, then gemm(ld, y) computes the group's [Cout × ld] output into y.
+// With one sample per group y is the sample's NCHW output itself; with
+// more, y is `panel` (Cout × group_columns floats) and its column blocks
+// are scattered back per sample. Every GEMM output element is a function
+// of its own column alone (the sgemm per-element contract; igemm is
+// exact), so each sample's bits are those of scoring it alone.
+template <typename Lower, typename Gemm>
+void run_grouped(std::int64_t n, std::int64_t cout, std::int64_t out_hw,
+                 float* out, float* panel, Lower&& lower, Gemm&& gemm) {
+  const std::int64_t g = samples_per_gemm(out_hw);
+  for (std::int64_t i0 = 0; i0 < n; i0 += g) {
+    const std::int64_t gs = std::min(g, n - i0);
+    const std::int64_t ld = gs * out_hw;
+    for (std::int64_t s = 0; s < gs; ++s) lower(i0 + s, s * out_hw, ld);
+    float* y = out + i0 * cout * out_hw;
+    if (gs == 1) {
+      gemm(ld, y);
+      continue;
+    }
+    gemm(ld, panel);
+    for (std::int64_t s = 0; s < gs; ++s) {
+      for (std::int64_t c = 0; c < cout; ++c) {
+        const float* src = panel + c * ld + s * out_hw;
+        std::copy(src, src + out_hw, y + (s * cout + c) * out_hw);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
@@ -156,20 +204,27 @@ void Conv2d::infer_with(const Tensor& weight, const Tensor& bias,
     return;
   }
 
-  // Serial per-sample loop with a per-thread, grow-only column buffer for
-  // just one sample (the training path keeps the whole batch's columns for
-  // backward). No pool dispatch, no allocation after warmup: concurrency
-  // on the inference path comes from running independent sessions on
-  // separate workers.
-  thread_local std::vector<float> cols;
-  cols.resize(static_cast<std::size_t>(col_rows * out_hw));
-  for (std::int64_t i = 0; i < n; ++i) {
-    im2col(x.data() + i * in_channels_ * h * w, in_channels_, h, w, kernel_,
-           kernel_, pad_, stride_, cols.data());
-    sgemm_serial(out_channels_, out_hw, col_rows, 1.0f, weight.data(),
-                 cols.data(), 0.0f,
-                 out.data() + i * out_channels_ * out_hw, ep);
-  }
+  // Serial loop over one per-thread, grow-only buffer holding one group's
+  // column panel and, for grouped convs, its GEMM output (the training
+  // path keeps the whole batch's columns for backward). No pool dispatch,
+  // no allocation after warmup: concurrency on the inference path comes
+  // from running independent sessions on separate workers.
+  const std::int64_t chw = in_channels_ * h * w;
+  const std::int64_t ld_max = group_columns(n, out_hw);
+  const std::int64_t panel_rows = ld_max > out_hw ? out_channels_ : 0;
+  thread_local std::vector<float> scratch;
+  scratch.resize(static_cast<std::size_t>((col_rows + panel_rows) * ld_max));
+  float* cols = scratch.data();
+  run_grouped(
+      n, out_channels_, out_hw, out.data(), cols + col_rows * ld_max,
+      [&](std::int64_t i, std::int64_t offset, std::int64_t ld) {
+        im2col(x.data() + i * chw, in_channels_, h, w, kernel_, kernel_, pad_,
+               stride_, cols + offset, ld);
+      },
+      [&](std::int64_t ld, float* y) {
+        sgemm_serial(out_channels_, ld, col_rows, 1.0f, weight.data(), cols,
+                     0.0f, y, ep);
+      });
 }
 
 void Conv2d::infer_quantized(const std::int8_t* qweight,
@@ -211,17 +266,25 @@ void Conv2d::infer_quantized(const std::int8_t* qweight,
 
   // Quantize once per sample (O(C·H·W)), then lower the int8 image —
   // the column matrix costs a quarter of the f32 path's byte traffic,
-  // which is where most of the int8 serving win comes from.
-  scratch.columns.resize(static_cast<std::size_t>(col_rows * out_hw));
-  for (std::int64_t i = 0; i < n; ++i) {
-    quantize_into(x.data() + i * chw, chw, input_inv_scale,
-                  scratch.input.data());
-    im2col_i8(scratch.input.data(), in_channels_, h, w, kernel_, kernel_,
-              pad_, stride_, scratch.columns.data());
-    igemm_serial(out_channels_, out_hw, col_rows, qweight,
-                 scratch.columns.data(),
-                 out.data() + i * out_channels_ * out_hw, epilogue);
+  // which is where most of the int8 serving win comes from. Narrow convs
+  // group samples exactly like infer_with.
+  const std::int64_t ld_max = group_columns(n, out_hw);
+  scratch.columns.resize(static_cast<std::size_t>(col_rows * ld_max));
+  if (ld_max > out_hw) {
+    scratch.output.resize(static_cast<std::size_t>(out_channels_ * ld_max));
   }
+  std::int8_t* cols = scratch.columns.data();
+  run_grouped(
+      n, out_channels_, out_hw, out.data(), scratch.output.data(),
+      [&](std::int64_t i, std::int64_t offset, std::int64_t ld) {
+        quantize_into(x.data() + i * chw, chw, input_inv_scale,
+                      scratch.input.data());
+        im2col_i8(scratch.input.data(), in_channels_, h, w, kernel_, kernel_,
+                  pad_, stride_, cols + offset, ld);
+      },
+      [&](std::int64_t ld, float* y) {
+        igemm_serial(out_channels_, ld, col_rows, qweight, cols, y, epilogue);
+      });
 }
 
 Shape Conv2d::infer_shape(const Shape& in) const {

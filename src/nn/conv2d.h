@@ -12,12 +12,15 @@
 namespace sne::nn {
 
 /// Caller-owned scratch of the quantized conv path: the int8 image of the
-/// current sample and its int8 column matrix. Grow-only, so a serving
-/// session that reuses one across run() calls stays allocation-free after
-/// warmup — this is the "int8 ping-pong arena" the InferenceSession sizes.
+/// current sample, the int8 column panel of the current sample group and,
+/// for grouped narrow convs, the group's f32 GEMM output before it is
+/// scattered to NCHW. Grow-only, so a serving session that reuses one
+/// across run() calls stays allocation-free after warmup — this is the
+/// "int8 ping-pong arena" the InferenceSession sizes.
 struct ConvInt8Scratch {
   std::vector<std::int8_t> input;
   std::vector<std::int8_t> columns;
+  std::vector<float> output;
 };
 
 /// 2-d convolution: input [N, Cin, H, W] → output [N, Cout, H', W'] with
@@ -44,6 +47,13 @@ class Conv2d final : public Module {
   /// When `prelu` is non-null it must be [Cout] per-channel PReLU slopes;
   /// they are applied in the GEMM epilogue, bitwise identical to running a
   /// separate PReLU pass over the conv output.
+  ///
+  /// A conv whose output plane H'·W' is narrower than one 16-column GEMM
+  /// register tile (the band CNN's third conv: 2×2) lowers g = 256/(H'·W')
+  /// samples into one [Cin·k·k × g·H'·W'] column panel, runs one GEMM per
+  /// group and scatters the result back to NCHW. Each sample's output is
+  /// still bitwise equal to running it alone (the sgemm per-element
+  /// contract in tensor/gemm.h), so scores do not depend on batching.
   void infer_with(const Tensor& weight, const Tensor& bias, ConstTensorView x,
                   Tensor& out, const Tensor* prelu = nullptr) const;
 
@@ -56,7 +66,9 @@ class Conv2d final : public Module {
   /// the per-channel-quantized weight payload [Cout, Cin·k·k] and
   /// `epilogue.scale` must carry input_scale · weight_scale[c] (the
   /// inference planner precomputes both). Same serial/zero-alloc
-  /// contract as infer_with, with `scratch` holding the int8 buffers.
+  /// contract and sample grouping as infer_with (igemm is exact, so a
+  /// grouped sample's bits match it alone), with `scratch` holding the
+  /// int8 buffers.
   void infer_quantized(const std::int8_t* qweight,
                        const IgemmEpilogue& epilogue, float input_inv_scale,
                        ConstTensorView x, Tensor& out,

@@ -82,86 +82,154 @@ __attribute__((target("avx2"))) inline __m256 pool_takes_avx2(__m256 best,
   return _mm256_or_ps(gt, _mm256_and_ps(nan_best, ord_v));
 }
 
-// 2x2 stride-2 pool over `planes` planes, eight output columns per
-// iteration. The two shuffles split 16 consecutive inputs into even/odd
-// columns (lane-scrambled, but identically for all four operands, so each
-// lane still folds one window in the scalar's encounter order: top-left,
-// top-right, bottom-left, bottom-right); one 64-bit permute restores
-// output order. With kArgmax the same blend masks also select the winning
-// window slot (0..3) per lane, which becomes the flat input index — the
-// training forward's argmax, equal to maxpool_scalar's. Serving
-// instantiates kArgmax = false, which carries none of that work.
+// Scalar walk of one 2x2 window whose top-left input is x[tl], in the
+// scalar kernel's encounter order; the edge case of the vector pool.
+inline void pool_window_2x2(const float* x, std::int64_t tl, std::int64_t w,
+                            float* dst, std::int64_t* argmax) {
+  std::int64_t best_idx = tl;
+  float best = x[tl];
+  for (int k = 1; k < 4; ++k) {
+    const std::int64_t idx = tl + (k >> 1) * w + (k & 1);
+    const float v = x[idx];
+    if (v > best || (std::isnan(best) && !std::isnan(v))) {
+      best = v;
+      best_idx = idx;
+    }
+  }
+  *dst = best;
+  if (argmax != nullptr) *argmax = best_idx;
+}
+
+// Eight 2x2 windows from their (top-left, top-right) input pairs: a0 holds
+// the pairs of outputs 0–3, a1 of outputs 4–7, and b0/b1 the bottom row's
+// pairs. The two shuffles split them into even/odd columns (lane-scrambled,
+// but identically for all four operands, so each lane still folds one
+// window in the scalar's encounter order: top-left, top-right,
+// bottom-left, bottom-right); one 64-bit permute restores output order.
+// With kArgmax the same blend masks also select the winning window slot
+// (0..3) per lane, which is added to the window's top-left input index
+// (tl_lo for outputs 0–3, tl_hi for 4–7) — the training forward's argmax,
+// equal to maxpool_scalar's. Serving instantiates kArgmax = false, which
+// carries none of that work.
+template <bool kArgmax>
+__attribute__((target("avx2"))) inline void pool8_2x2_avx2(
+    __m256 a0, __m256 a1, __m256 b0, __m256 b1, std::int64_t w, float* dst,
+    std::int64_t* argmax, __m256i tl_lo, __m256i tl_hi) {
+  const __m256 e0 = _mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(2, 0, 2, 0));
+  const __m256 o0 = _mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(3, 1, 3, 1));
+  const __m256 e1 = _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0));
+  const __m256 o1 = _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1));
+  const __m256 t1 = pool_takes_avx2(e0, o0);
+  __m256 m = _mm256_blendv_ps(e0, o0, t1);
+  const __m256 t2 = pool_takes_avx2(m, e1);
+  m = _mm256_blendv_ps(m, e1, t2);
+  const __m256 t3 = pool_takes_avx2(m, o1);
+  m = _mm256_blendv_ps(m, o1, t3);
+  _mm256_storeu_ps(dst, _mm256_castpd_ps(_mm256_permute4x64_pd(
+                            _mm256_castps_pd(m), _MM_SHUFFLE(3, 1, 2, 0))));
+  if constexpr (!kArgmax) return;
+  __m256 slot = _mm256_and_ps(t1, _mm256_castsi256_ps(_mm256_set1_epi32(1)));
+  slot = _mm256_blendv_ps(slot, _mm256_castsi256_ps(_mm256_set1_epi32(2)), t2);
+  slot = _mm256_blendv_ps(slot, _mm256_castsi256_ps(_mm256_set1_epi32(3)), t3);
+  const __m256i s = _mm256_permute4x64_epi64(_mm256_castps_si256(slot),
+                                             _MM_SHUFFLE(3, 1, 2, 0));
+  // slot → offset from the window's top-left: (slot/2)·w + slot%2.
+  const __m256i off = _mm256_add_epi32(
+      _mm256_and_si256(s, _mm256_set1_epi32(1)),
+      _mm256_mullo_epi32(_mm256_srli_epi32(s, 1),
+                         _mm256_set1_epi32(static_cast<int>(w))));
+  _mm256_storeu_si256(
+      reinterpret_cast<__m256i*>(argmax),
+      _mm256_add_epi64(tl_lo,
+                       _mm256_cvtepi32_epi64(_mm256_castsi256_si128(off))));
+  _mm256_storeu_si256(
+      reinterpret_cast<__m256i*>(argmax + 4),
+      _mm256_add_epi64(tl_hi,
+                       _mm256_cvtepi32_epi64(_mm256_extracti128_si256(off, 1))));
+}
+
+// 2x2 stride-2 pool over `planes` planes. Rows of at least 8 outputs load
+// their window pairs straight from the two input rows, eight outputs per
+// iteration, and walk the row's last ow % 8 windows scalar. Shorter rows
+// (the deep stages of the paper's CNNs, down to one output per plane)
+// would never fill a vector that way, so they pool as one flat run of
+// outputs across rows and planes: each lane's window pairs are gathered
+// from its own top-left index, and only the last total % 8 outputs of the
+// whole tensor walk scalar. Both paths fold through pool8_2x2_avx2.
 template <bool kArgmax>
 __attribute__((target("avx2"))) void maxpool_2x2_avx2(
     const float* x, std::int64_t planes, std::int64_t h, std::int64_t w,
     std::int64_t oh, std::int64_t ow, float* dst, std::int64_t* argmax) {
-  const __m256 slot1 = _mm256_castsi256_ps(_mm256_set1_epi32(1));
-  const __m256 slot2 = _mm256_castsi256_ps(_mm256_set1_epi32(2));
-  const __m256 slot3 = _mm256_castsi256_ps(_mm256_set1_epi32(3));
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i wv = _mm256_set1_epi32(static_cast<int>(w));
-  // Input column offset of output lane l within its row pair: 2·l.
-  const __m256i lane2 = _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14);
-  for (std::int64_t p = 0; p < planes; ++p) {
-    for (std::int64_t oy = 0; oy < oh; ++oy) {
-      const std::int64_t row0 = p * h * w + 2 * oy * w;
-      const float* r0 = x + row0;
-      const float* r1 = r0 + w;
-      const std::int64_t o = (p * oh + oy) * ow;
-      std::int64_t ox = 0;
-      for (; ox + 8 <= ow; ox += 8) {
-        const __m256 a0 = _mm256_loadu_ps(r0 + 2 * ox);
-        const __m256 a1 = _mm256_loadu_ps(r0 + 2 * ox + 8);
-        const __m256 b0 = _mm256_loadu_ps(r1 + 2 * ox);
-        const __m256 b1 = _mm256_loadu_ps(r1 + 2 * ox + 8);
-        const __m256 e0 = _mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(2, 0, 2, 0));
-        const __m256 o0 = _mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(3, 1, 3, 1));
-        const __m256 e1 = _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0));
-        const __m256 o1 = _mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1));
-        const __m256 t1 = pool_takes_avx2(e0, o0);
-        __m256 m = _mm256_blendv_ps(e0, o0, t1);
-        const __m256 t2 = pool_takes_avx2(m, e1);
-        m = _mm256_blendv_ps(m, e1, t2);
-        const __m256 t3 = pool_takes_avx2(m, o1);
-        m = _mm256_blendv_ps(m, o1, t3);
-        _mm256_storeu_ps(dst + o + ox,
-                         _mm256_castpd_ps(_mm256_permute4x64_pd(
-                             _mm256_castps_pd(m), _MM_SHUFFLE(3, 1, 2, 0))));
-        if constexpr (!kArgmax) continue;
-        __m256 slot = _mm256_and_ps(t1, slot1);
-        slot = _mm256_blendv_ps(slot, slot2, t2);
-        slot = _mm256_blendv_ps(slot, slot3, t3);
-        const __m256i s = _mm256_permute4x64_epi64(_mm256_castps_si256(slot),
-                                                   _MM_SHUFFLE(3, 1, 2, 0));
-        // slot → offset from the window's top-left: (slot/2)·w + slot%2.
-        const __m256i off = _mm256_add_epi32(
-            _mm256_add_epi32(lane2, _mm256_and_si256(s, one)),
-            _mm256_mullo_epi32(_mm256_srli_epi32(s, 1), wv));
-        const __m256i base = _mm256_set1_epi64x(row0 + 2 * ox);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(argmax + o + ox),
-            _mm256_add_epi64(base,
-                             _mm256_cvtepi32_epi64(_mm256_castsi256_si128(off))));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(argmax + o + ox + 4),
-            _mm256_add_epi64(
-                base, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(off, 1))));
-      }
-      for (; ox < ow; ++ox) {
-        std::int64_t best_idx = row0 + 2 * ox;
-        float best = x[best_idx];
-        for (int k = 1; k < 4; ++k) {
-          const std::int64_t idx = row0 + (k >> 1) * w + 2 * ox + (k & 1);
-          const float v = x[idx];
-          if (v > best || (std::isnan(best) && !std::isnan(v))) {
-            best = v;
-            best_idx = idx;
-          }
+  std::int64_t* const no_argmax = nullptr;
+  if (ow >= 8) {
+    const __m256i lane2_lo = _mm256_setr_epi64x(0, 2, 4, 6);
+    const __m256i lane2_hi = _mm256_setr_epi64x(8, 10, 12, 14);
+    for (std::int64_t p = 0; p < planes; ++p) {
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        const std::int64_t row0 = p * h * w + 2 * oy * w;
+        const float* r0 = x + row0;
+        const float* r1 = r0 + w;
+        const std::int64_t o = (p * oh + oy) * ow;
+        std::int64_t ox = 0;
+        for (; ox + 8 <= ow; ox += 8) {
+          const __m256i base = _mm256_set1_epi64x(row0 + 2 * ox);
+          pool8_2x2_avx2<kArgmax>(
+              _mm256_loadu_ps(r0 + 2 * ox), _mm256_loadu_ps(r0 + 2 * ox + 8),
+              _mm256_loadu_ps(r1 + 2 * ox), _mm256_loadu_ps(r1 + 2 * ox + 8),
+              w, dst + o + ox, kArgmax ? argmax + o + ox : no_argmax,
+              _mm256_add_epi64(base, lane2_lo),
+              _mm256_add_epi64(base, lane2_hi));
         }
-        dst[o + ox] = best;
-        if constexpr (kArgmax) argmax[o + ox] = best_idx;
+        for (; ox < ow; ++ox) {
+          pool_window_2x2(x, row0 + 2 * ox, w, dst + o + ox,
+                          kArgmax ? argmax + o + ox : no_argmax);
+        }
       }
     }
+    return;
+  }
+  // Short rows: walk (plane, oy, ox) in output order, eight windows at a
+  // time. Each gather lane loads one window's two adjacent floats as a
+  // 64-bit element, so a0/a1/b0/b1 come out laid like the row loads above.
+  const double* xd = reinterpret_cast<const double*>(x);
+  const __m256i wv = _mm256_set1_epi64x(w);
+  const std::int64_t total = planes * oh * ow;
+  // Walker over outputs in order: top-left input index of output o.
+  std::int64_t plane0 = 0, row0 = 0, oy = 0, ox = 0;
+  const auto next = [&] {
+    if (++ox < ow) return;
+    ox = 0;
+    if (++oy < oh) {
+      row0 += 2 * w;
+      return;
+    }
+    oy = 0;
+    plane0 += h * w;
+    row0 = plane0;
+  };
+  alignas(32) std::int64_t tl[8];
+  std::int64_t o = 0;
+  for (; o + 8 <= total; o += 8) {
+    for (std::int64_t& t : tl) {
+      t = row0 + 2 * ox;
+      next();
+    }
+    const __m256i tl_lo = _mm256_load_si256(reinterpret_cast<__m256i*>(tl));
+    const __m256i tl_hi =
+        _mm256_load_si256(reinterpret_cast<__m256i*>(tl + 4));
+    pool8_2x2_avx2<kArgmax>(
+        _mm256_castpd_ps(_mm256_i64gather_pd(xd, tl_lo, 4)),
+        _mm256_castpd_ps(_mm256_i64gather_pd(xd, tl_hi, 4)),
+        _mm256_castpd_ps(
+            _mm256_i64gather_pd(xd, _mm256_add_epi64(tl_lo, wv), 4)),
+        _mm256_castpd_ps(
+            _mm256_i64gather_pd(xd, _mm256_add_epi64(tl_hi, wv), 4)),
+        w, dst + o, kArgmax ? argmax + o : no_argmax, tl_lo, tl_hi);
+  }
+  for (; o < total; ++o) {
+    pool_window_2x2(x, row0 + 2 * ox, w, dst + o,
+                    kArgmax ? argmax + o : no_argmax);
+    next();
   }
 }
 

@@ -71,8 +71,10 @@ std::unique_ptr<Tier1Cnn> train_tier1(const sim::SnDataset& data,
 std::shared_ptr<const infer::InferencePlan> compile_tier1_plan(
     const Tier1Cnn& cnn, const core::SessionOptions& options) {
   const std::int64_t c = cnn.config().crop;
-  return std::make_shared<const infer::InferencePlan>(
-      cnn.net(), Shape{1, c, c}, core::plan_options(options));
+  infer::PlanOptions plan = core::plan_options(options);
+  plan.name = "tier1";
+  return std::make_shared<const infer::InferencePlan>(cnn.net(),
+                                                      Shape{1, c, c}, plan);
 }
 
 infer::InferenceSession make_tier1_session(

@@ -62,230 +62,93 @@ void gemm_block(std::int64_t mb, std::int64_t nb, std::int64_t kb,
 
 #if SNE_GEMM_X86
 
-// AVX2+FMA inner kernel: 6×16 register tiles of C held in twelve ymm
-// accumulators across the whole k reduction (12 accumulators + 2 B
-// vectors + 1 broadcast = 15 of the 16 ymm registers), so C is read and
-// written once per block instead of once per four k steps. Ragged
-// rows/columns fall back to narrower tiles and finally scalar loops;
-// every path has a fixed accumulation order, so the tier stays bitwise
-// deterministic (it just differs from the scalar tier by reassociation of
-// the k sum).
+// AVX2+FMA inner kernel: C[mb×nb] += A[mb×kb] · B[kb×nb] in register tiles
+// of R rows (6, then 4, then 1) held in ymm accumulators across the whole
+// k reduction, so C is read and written once per block. Every output
+// element, whatever its row group or column position, is the sequential
+// fused multiply-add chain c = fma(a[i][p], b[p][j], c) over p — the
+// per-element contract in tensor/gemm.h. It differs from the scalar tier
+// but never depends on how rows or columns are grouped, so a sample's
+// bits do not move with the batch it rides in.
+
+// 16 columns: 2R accumulators + 2 B vectors + 1 broadcast (15 of the 16
+// ymm registers at R = 6).
+template <int R>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+sgemm_tile16_avx2(std::int64_t kb, const float* a, std::int64_t lda,
+                  const float* b, std::int64_t ldb, float* c,
+                  std::int64_t ldc) {
+  __m256 lo[R];
+  __m256 hi[R];
+  for (int r = 0; r < R; ++r) {
+    lo[r] = _mm256_loadu_ps(c + r * ldc);
+    hi[r] = _mm256_loadu_ps(c + r * ldc + 8);
+  }
+  for (std::int64_t p = 0; p < kb; ++p) {
+    const __m256 bl = _mm256_loadu_ps(b + p * ldb);
+    const __m256 bh = _mm256_loadu_ps(b + p * ldb + 8);
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(a[r * lda + p]);
+      lo[r] = _mm256_fmadd_ps(av, bl, lo[r]);
+      hi[r] = _mm256_fmadd_ps(av, bh, hi[r]);
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    _mm256_storeu_ps(c + r * ldc, lo[r]);
+    _mm256_storeu_ps(c + r * ldc + 8, hi[r]);
+  }
+}
+
+// 1–8 columns on masked 8-lane vectors: the same FMA chain as the 16-column
+// tile. Masked-off lanes are neither loaded nor stored, so the edge never
+// touches memory past the last column of a row of B or C.
+template <int R>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+sgemm_tile8_avx2(std::int64_t cols, std::int64_t kb, const float* a,
+                 std::int64_t lda, const float* b, std::int64_t ldb, float* c,
+                 std::int64_t ldc) {
+  const __m256i mask =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cols)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256 acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = _mm256_maskload_ps(c + r * ldc, mask);
+  for (std::int64_t p = 0; p < kb; ++p) {
+    const __m256 bv = _mm256_maskload_ps(b + p * ldb, mask);
+    for (int r = 0; r < R; ++r) {
+      acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(a[r * lda + p]), bv, acc[r]);
+    }
+  }
+  for (int r = 0; r < R; ++r) _mm256_maskstore_ps(c + r * ldc, mask, acc[r]);
+}
+
+template <int R>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+sgemm_rows_avx2(std::int64_t nb, std::int64_t kb, const float* a,
+                std::int64_t lda, const float* b, std::int64_t ldb, float* c,
+                std::int64_t ldc) {
+  std::int64_t j = 0;
+  for (; j + 16 <= nb; j += 16) {
+    sgemm_tile16_avx2<R>(kb, a, lda, b + j, ldb, c + j, ldc);
+  }
+  for (; j < nb; j += 8) {
+    sgemm_tile8_avx2<R>(std::min<std::int64_t>(8, nb - j), kb, a, lda, b + j,
+                        ldb, c + j, ldc);
+  }
+}
+
 __attribute__((target("avx2,fma"))) void gemm_block_avx2(
     std::int64_t mb, std::int64_t nb, std::int64_t kb, const float* a,
     std::int64_t lda, const float* b, std::int64_t ldb, float* c,
     std::int64_t ldc) {
   std::int64_t i = 0;
   for (; i + 6 <= mb; i += 6) {
-    const float* a0 = a + (i + 0) * lda;
-    const float* a1 = a + (i + 1) * lda;
-    const float* a2 = a + (i + 2) * lda;
-    const float* a3 = a + (i + 3) * lda;
-    const float* a4 = a + (i + 4) * lda;
-    const float* a5 = a + (i + 5) * lda;
-    float* c0 = c + (i + 0) * ldc;
-    float* c1 = c + (i + 1) * ldc;
-    float* c2 = c + (i + 2) * ldc;
-    float* c3 = c + (i + 3) * ldc;
-    float* c4 = c + (i + 4) * ldc;
-    float* c5 = c + (i + 5) * ldc;
-    std::int64_t j = 0;
-    for (; j + 16 <= nb; j += 16) {
-      __m256 acc0l = _mm256_loadu_ps(c0 + j);
-      __m256 acc0h = _mm256_loadu_ps(c0 + j + 8);
-      __m256 acc1l = _mm256_loadu_ps(c1 + j);
-      __m256 acc1h = _mm256_loadu_ps(c1 + j + 8);
-      __m256 acc2l = _mm256_loadu_ps(c2 + j);
-      __m256 acc2h = _mm256_loadu_ps(c2 + j + 8);
-      __m256 acc3l = _mm256_loadu_ps(c3 + j);
-      __m256 acc3h = _mm256_loadu_ps(c3 + j + 8);
-      __m256 acc4l = _mm256_loadu_ps(c4 + j);
-      __m256 acc4h = _mm256_loadu_ps(c4 + j + 8);
-      __m256 acc5l = _mm256_loadu_ps(c5 + j);
-      __m256 acc5h = _mm256_loadu_ps(c5 + j + 8);
-      for (std::int64_t p = 0; p < kb; ++p) {
-        const float* bp = b + p * ldb + j;
-        const __m256 bl = _mm256_loadu_ps(bp);
-        const __m256 bh = _mm256_loadu_ps(bp + 8);
-        __m256 av = _mm256_set1_ps(a0[p]);
-        acc0l = _mm256_fmadd_ps(av, bl, acc0l);
-        acc0h = _mm256_fmadd_ps(av, bh, acc0h);
-        av = _mm256_set1_ps(a1[p]);
-        acc1l = _mm256_fmadd_ps(av, bl, acc1l);
-        acc1h = _mm256_fmadd_ps(av, bh, acc1h);
-        av = _mm256_set1_ps(a2[p]);
-        acc2l = _mm256_fmadd_ps(av, bl, acc2l);
-        acc2h = _mm256_fmadd_ps(av, bh, acc2h);
-        av = _mm256_set1_ps(a3[p]);
-        acc3l = _mm256_fmadd_ps(av, bl, acc3l);
-        acc3h = _mm256_fmadd_ps(av, bh, acc3h);
-        av = _mm256_set1_ps(a4[p]);
-        acc4l = _mm256_fmadd_ps(av, bl, acc4l);
-        acc4h = _mm256_fmadd_ps(av, bh, acc4h);
-        av = _mm256_set1_ps(a5[p]);
-        acc5l = _mm256_fmadd_ps(av, bl, acc5l);
-        acc5h = _mm256_fmadd_ps(av, bh, acc5h);
-      }
-      _mm256_storeu_ps(c0 + j, acc0l);
-      _mm256_storeu_ps(c0 + j + 8, acc0h);
-      _mm256_storeu_ps(c1 + j, acc1l);
-      _mm256_storeu_ps(c1 + j + 8, acc1h);
-      _mm256_storeu_ps(c2 + j, acc2l);
-      _mm256_storeu_ps(c2 + j + 8, acc2h);
-      _mm256_storeu_ps(c3 + j, acc3l);
-      _mm256_storeu_ps(c3 + j + 8, acc3h);
-      _mm256_storeu_ps(c4 + j, acc4l);
-      _mm256_storeu_ps(c4 + j + 8, acc4h);
-      _mm256_storeu_ps(c5 + j, acc5l);
-      _mm256_storeu_ps(c5 + j + 8, acc5h);
-    }
-    for (; j + 8 <= nb; j += 8) {
-      __m256 acc0 = _mm256_loadu_ps(c0 + j);
-      __m256 acc1 = _mm256_loadu_ps(c1 + j);
-      __m256 acc2 = _mm256_loadu_ps(c2 + j);
-      __m256 acc3 = _mm256_loadu_ps(c3 + j);
-      __m256 acc4 = _mm256_loadu_ps(c4 + j);
-      __m256 acc5 = _mm256_loadu_ps(c5 + j);
-      for (std::int64_t p = 0; p < kb; ++p) {
-        const __m256 bv = _mm256_loadu_ps(b + p * ldb + j);
-        acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[p]), bv, acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[p]), bv, acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[p]), bv, acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a3[p]), bv, acc3);
-        acc4 = _mm256_fmadd_ps(_mm256_set1_ps(a4[p]), bv, acc4);
-        acc5 = _mm256_fmadd_ps(_mm256_set1_ps(a5[p]), bv, acc5);
-      }
-      _mm256_storeu_ps(c0 + j, acc0);
-      _mm256_storeu_ps(c1 + j, acc1);
-      _mm256_storeu_ps(c2 + j, acc2);
-      _mm256_storeu_ps(c3 + j, acc3);
-      _mm256_storeu_ps(c4 + j, acc4);
-      _mm256_storeu_ps(c5 + j, acc5);
-    }
-    for (; j < nb; ++j) {
-      float s0 = c0[j], s1 = c1[j], s2 = c2[j];
-      float s3 = c3[j], s4 = c4[j], s5 = c5[j];
-      for (std::int64_t p = 0; p < kb; ++p) {
-        const float bv = b[p * ldb + j];
-        s0 += a0[p] * bv;
-        s1 += a1[p] * bv;
-        s2 += a2[p] * bv;
-        s3 += a3[p] * bv;
-        s4 += a4[p] * bv;
-        s5 += a5[p] * bv;
-      }
-      c0[j] = s0;
-      c1[j] = s1;
-      c2[j] = s2;
-      c3[j] = s3;
-      c4[j] = s4;
-      c5[j] = s5;
-    }
+    sgemm_rows_avx2<6>(nb, kb, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
   }
   for (; i + 4 <= mb; i += 4) {
-    const float* a0 = a + (i + 0) * lda;
-    const float* a1 = a + (i + 1) * lda;
-    const float* a2 = a + (i + 2) * lda;
-    const float* a3 = a + (i + 3) * lda;
-    float* c0 = c + (i + 0) * ldc;
-    float* c1 = c + (i + 1) * ldc;
-    float* c2 = c + (i + 2) * ldc;
-    float* c3 = c + (i + 3) * ldc;
-    std::int64_t j = 0;
-    for (; j + 16 <= nb; j += 16) {
-      __m256 acc0l = _mm256_loadu_ps(c0 + j);
-      __m256 acc0h = _mm256_loadu_ps(c0 + j + 8);
-      __m256 acc1l = _mm256_loadu_ps(c1 + j);
-      __m256 acc1h = _mm256_loadu_ps(c1 + j + 8);
-      __m256 acc2l = _mm256_loadu_ps(c2 + j);
-      __m256 acc2h = _mm256_loadu_ps(c2 + j + 8);
-      __m256 acc3l = _mm256_loadu_ps(c3 + j);
-      __m256 acc3h = _mm256_loadu_ps(c3 + j + 8);
-      for (std::int64_t p = 0; p < kb; ++p) {
-        const float* bp = b + p * ldb + j;
-        const __m256 bl = _mm256_loadu_ps(bp);
-        const __m256 bh = _mm256_loadu_ps(bp + 8);
-        __m256 av = _mm256_set1_ps(a0[p]);
-        acc0l = _mm256_fmadd_ps(av, bl, acc0l);
-        acc0h = _mm256_fmadd_ps(av, bh, acc0h);
-        av = _mm256_set1_ps(a1[p]);
-        acc1l = _mm256_fmadd_ps(av, bl, acc1l);
-        acc1h = _mm256_fmadd_ps(av, bh, acc1h);
-        av = _mm256_set1_ps(a2[p]);
-        acc2l = _mm256_fmadd_ps(av, bl, acc2l);
-        acc2h = _mm256_fmadd_ps(av, bh, acc2h);
-        av = _mm256_set1_ps(a3[p]);
-        acc3l = _mm256_fmadd_ps(av, bl, acc3l);
-        acc3h = _mm256_fmadd_ps(av, bh, acc3h);
-      }
-      _mm256_storeu_ps(c0 + j, acc0l);
-      _mm256_storeu_ps(c0 + j + 8, acc0h);
-      _mm256_storeu_ps(c1 + j, acc1l);
-      _mm256_storeu_ps(c1 + j + 8, acc1h);
-      _mm256_storeu_ps(c2 + j, acc2l);
-      _mm256_storeu_ps(c2 + j + 8, acc2h);
-      _mm256_storeu_ps(c3 + j, acc3l);
-      _mm256_storeu_ps(c3 + j + 8, acc3h);
-    }
-    for (; j + 8 <= nb; j += 8) {
-      __m256 acc0 = _mm256_loadu_ps(c0 + j);
-      __m256 acc1 = _mm256_loadu_ps(c1 + j);
-      __m256 acc2 = _mm256_loadu_ps(c2 + j);
-      __m256 acc3 = _mm256_loadu_ps(c3 + j);
-      for (std::int64_t p = 0; p < kb; ++p) {
-        const __m256 bv = _mm256_loadu_ps(b + p * ldb + j);
-        acc0 = _mm256_fmadd_ps(_mm256_set1_ps(a0[p]), bv, acc0);
-        acc1 = _mm256_fmadd_ps(_mm256_set1_ps(a1[p]), bv, acc1);
-        acc2 = _mm256_fmadd_ps(_mm256_set1_ps(a2[p]), bv, acc2);
-        acc3 = _mm256_fmadd_ps(_mm256_set1_ps(a3[p]), bv, acc3);
-      }
-      _mm256_storeu_ps(c0 + j, acc0);
-      _mm256_storeu_ps(c1 + j, acc1);
-      _mm256_storeu_ps(c2 + j, acc2);
-      _mm256_storeu_ps(c3 + j, acc3);
-    }
-    for (; j < nb; ++j) {
-      float s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
-      for (std::int64_t p = 0; p < kb; ++p) {
-        const float bv = b[p * ldb + j];
-        s0 += a0[p] * bv;
-        s1 += a1[p] * bv;
-        s2 += a2[p] * bv;
-        s3 += a3[p] * bv;
-      }
-      c0[j] = s0;
-      c1[j] = s1;
-      c2[j] = s2;
-      c3[j] = s3;
-    }
+    sgemm_rows_avx2<4>(nb, kb, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
   }
   for (; i < mb; ++i) {
-    const float* ai = a + i * lda;
-    float* ci = c + i * ldc;
-    std::int64_t j = 0;
-    for (; j + 16 <= nb; j += 16) {
-      __m256 accl = _mm256_loadu_ps(ci + j);
-      __m256 acch = _mm256_loadu_ps(ci + j + 8);
-      for (std::int64_t p = 0; p < kb; ++p) {
-        const __m256 av = _mm256_set1_ps(ai[p]);
-        accl = _mm256_fmadd_ps(av, _mm256_loadu_ps(b + p * ldb + j), accl);
-        acch = _mm256_fmadd_ps(av, _mm256_loadu_ps(b + p * ldb + j + 8), acch);
-      }
-      _mm256_storeu_ps(ci + j, accl);
-      _mm256_storeu_ps(ci + j + 8, acch);
-    }
-    for (; j + 8 <= nb; j += 8) {
-      __m256 acc = _mm256_loadu_ps(ci + j);
-      for (std::int64_t p = 0; p < kb; ++p) {
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(ai[p]),
-                              _mm256_loadu_ps(b + p * ldb + j), acc);
-      }
-      _mm256_storeu_ps(ci + j, acc);
-    }
-    for (; j < nb; ++j) {
-      float s = ci[j];
-      for (std::int64_t p = 0; p < kb; ++p) s += ai[p] * b[p * ldb + j];
-      ci[j] = s;
-    }
+    sgemm_rows_avx2<1>(nb, kb, a + i * lda, lda, b, ldb, c + i * ldc, ldc);
   }
 }
 
@@ -890,16 +753,17 @@ inline void copy_run(const float* src, std::int64_t len, float* dst) {
 template <typename T>
 void im2col_impl(const T* image, std::int64_t channels, std::int64_t height,
                  std::int64_t width, std::int64_t kh, std::int64_t kw,
-                 std::int64_t pad, std::int64_t stride, T* columns) {
+                 std::int64_t pad, std::int64_t stride, T* columns,
+                 std::int64_t row_stride) {
   const std::int64_t out_h = conv_out_extent(height, kh, pad, stride);
   const std::int64_t out_w = conv_out_extent(width, kw, pad, stride);
-  const std::int64_t out_hw = out_h * out_w;
+  const std::int64_t ld = row_stride > 0 ? row_stride : out_h * out_w;
 
   for (std::int64_t c = 0; c < channels; ++c) {
     const T* img_c = image + c * height * width;
     for (std::int64_t ky = 0; ky < kh; ++ky) {
       for (std::int64_t kx = 0; kx < kw; ++kx) {
-        T* col_row = columns + ((c * kh + ky) * kw + kx) * out_hw;
+        T* col_row = columns + ((c * kh + ky) * kw + kx) * ld;
         if (stride == 1) {
           // ix = ox + kx - pad is monotone: the in-bounds span is one
           // contiguous run, so each row is fill / copy / fill — the
@@ -949,15 +813,18 @@ void im2col_impl(const T* image, std::int64_t channels, std::int64_t height,
 
 void im2col(const float* image, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kh, std::int64_t kw,
-            std::int64_t pad, std::int64_t stride, float* columns) {
-  im2col_impl(image, channels, height, width, kh, kw, pad, stride, columns);
+            std::int64_t pad, std::int64_t stride, float* columns,
+            std::int64_t row_stride) {
+  im2col_impl(image, channels, height, width, kh, kw, pad, stride, columns,
+              row_stride);
 }
 
 void im2col_i8(const std::int8_t* image, std::int64_t channels,
                std::int64_t height, std::int64_t width, std::int64_t kh,
                std::int64_t kw, std::int64_t pad, std::int64_t stride,
-               std::int8_t* columns) {
-  im2col_impl(image, channels, height, width, kh, kw, pad, stride, columns);
+               std::int8_t* columns, std::int64_t row_stride) {
+  im2col_impl(image, channels, height, width, kh, kw, pad, stride, columns,
+              row_stride);
 }
 
 void col2im(const float* columns, std::int64_t channels, std::int64_t height,

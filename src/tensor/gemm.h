@@ -10,12 +10,22 @@
 // determinism tests pin it) and an AVX2+FMA register-blocked kernel picked
 // by CPUID at first use. Within either tier results are bitwise identical
 // across thread counts and repeated runs; across tiers the f32 kernels
-// agree only to float tolerance (the vector kernel re-associates the k
-// reduction), while igemm is bitwise identical even ACROSS tiers — its
-// accumulation is exact integer arithmetic, and the scalar and AVX2
-// requantization epilogues run the same per-element IEEE operation
-// sequence (convert, fused multiply-add, PReLU select), so they produce
-// the same bits.
+// agree only to float tolerance (the two kernels group and round the k
+// reduction differently), while igemm is bitwise identical even ACROSS
+// tiers — its accumulation is exact integer arithmetic, and the scalar
+// and AVX2 requantization epilogues run the same per-element IEEE
+// operation sequence (convert, fused multiply-add, PReLU select), so they
+// produce the same bits.
+//
+// Per-element contract of the vector tier: every element of C computed by
+// sgemm, sgemm_serial or sgemm_at is the sequential fused multiply-add
+// chain over its k products, c = fma(alpha·a[i][p], b[p][j], c) for
+// p = 0…k−1 starting from beta·c — whatever the element's row group or
+// column position (full 16-column tiles and the masked 1–7 column edge
+// run the same chain). An element therefore does not depend on m, n or
+// on which other rows and columns share its GEMM, so a convolution may
+// lower several samples into one column panel without moving any
+// sample's bits. GemmDispatch.VectorTierElementsAreSequentialFma pins it.
 // Force a tier with SNE_GEMM_KERNEL=scalar|avx2|auto or set_gemm_tier();
 // an unrecognized value warns once on stderr and resolves like "auto".
 #pragma once
@@ -101,19 +111,15 @@ void sgemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 /// C[m×n] = alpha * A[m×k] · Bᵀ (B is n×k) + beta * C. Same forward-only
 /// epilogue contract as sgemm_at.
 ///
-/// sgemm_bt is a scalar dot-product loop with double accumulation and must
-/// stay OFF the dispatched panel kernel, for two reasons:
-///  - it is independent of the kernel tier, and the int8 plan's fp32
-///    Linear steps run through it, so the quantized session's bits do not
-///    move with the tier (Int8Parity.QuantizedSessionIsBitwiseInvariant);
-///  - each C element is one dot product whatever the other rows are. The
-///    AVX2 panel kernel (gemm_block_avx2) is not invariant to row grouping:
-///    its scalar column tails (n % 8 != 0) round differently in its 6-, 4-
-///    and 1-row paths. Linear's GEMM rows are batch rows, so on that kernel
-///    a sample's score would depend on the batch it was scored in
-///    (InferParity.JointSessionRowsMatchAcrossBatchSizes).
-/// Convolution backward therefore computes its weight gradient with
-/// sgemm_serial on an explicitly transposed column panel instead.
+/// sgemm_bt is a scalar dot-product loop with double accumulation and stays
+/// OFF the dispatched panel kernel for tier independence: the int8 plan's
+/// fp32 Linear steps run through it, so the quantized session's bits do
+/// not move with the tier (Int8Parity.QuantizedSessionIsBitwiseInvariant).
+/// Row grouping would not keep it off: the vector tier's per-element
+/// contract above already makes a batch row's result independent of its
+/// batch (InferParity.JointSessionRowsMatchAcrossBatchSizes, both tiers).
+/// Convolution backward computes its weight gradient with sgemm_serial on
+/// an explicitly transposed column panel.
 void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
               const float* a, const float* b, float beta, float* c);
 void sgemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
@@ -169,17 +175,22 @@ void igemm_serial(std::int64_t m, std::int64_t n, std::int64_t k,
 
 /// Lowers one image (C×H×W, row-major) into a column matrix of shape
 /// [C·kh·kw] × [out_h·out_w] for convolution-as-GEMM. `pad` is zero padding
-/// applied on all sides, `stride` the convolution stride.
+/// applied on all sides, `stride` the convolution stride. `row_stride` is
+/// the distance in elements between consecutive rows of `columns`; 0 means
+/// dense (out_h·out_w). A wider stride lowers the image into one column
+/// block of a panel shared with other images, which is how a batch of
+/// narrow convolutions becomes one GEMM (see nn::Conv2d::infer_with).
 void im2col(const float* image, std::int64_t channels, std::int64_t height,
             std::int64_t width, std::int64_t kh, std::int64_t kw,
-            std::int64_t pad, std::int64_t stride, float* columns);
+            std::int64_t pad, std::int64_t stride, float* columns,
+            std::int64_t row_stride = 0);
 
 /// im2col over an already-quantized int8 image, for the igemm conv path.
-/// Identical traversal and zero padding; ¼ of the byte traffic.
+/// Identical traversal, zero padding and row stride; ¼ of the byte traffic.
 void im2col_i8(const std::int8_t* image, std::int64_t channels,
                std::int64_t height, std::int64_t width, std::int64_t kh,
                std::int64_t kw, std::int64_t pad, std::int64_t stride,
-               std::int8_t* columns);
+               std::int8_t* columns, std::int64_t row_stride = 0);
 
 /// Adjoint of im2col: scatters a column matrix back into (and accumulates
 /// onto) an image buffer. Used for the convolution input gradient.

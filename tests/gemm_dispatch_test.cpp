@@ -10,12 +10,10 @@
 // against the scalar walk.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <tuple>
 #include <vector>
 
@@ -26,28 +24,7 @@
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "tensor/thread_pool.h"
-
-// Allocation counter for the no-column-buffer pin; armed only inside the
-// measured window so gtest bookkeeping stays invisible.
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::int64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.h"
 
 namespace sne {
 namespace {
@@ -168,6 +145,68 @@ TEST(GemmDispatch, VectorTierIsThreadCountInvariant) {
   Tensor c_again({m, n});
   sgemm(m, n, k, 1.3f, a.data(), b.data(), 0.0f, c_again.data());
   EXPECT_TRUE(c1.equals(c_again));
+}
+
+TEST(GemmDispatch, VectorTierElementsAreSequentialFma) {
+  // The vector tier's per-element contract (tensor/gemm.h): every element
+  // of C is the sequential std::fma chain over its k products, whatever
+  // its row group (6/4/1) or column position (16-column tiles, the masked
+  // 1–7 column edge) — for sgemm, sgemm_serial and sgemm_at alike. k
+  // crosses the 256-deep k block; m sweeps every row-tile remainder.
+  if (!vector_tier_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+  TierGuard guard;
+  set_gemm_tier(GemmTier::Avx2Fma);
+  constexpr std::int64_t kMaxM = 70, kMaxK = 500, kMaxN = 289;
+  Rng rng(29);
+  const Tensor a_pool = Tensor::randn({kMaxM, kMaxK}, rng);
+  const Tensor b_pool = Tensor::randn({kMaxK, kMaxN}, rng);
+  std::vector<float> a, at, b, ref, c;
+  std::int64_t checked = 0, differ = 0;
+  for (std::int64_t m = 1; m <= kMaxM; ++m) {
+    for (const std::int64_t n : {1, 4, 7, 16, 20, 33, 144, 289}) {
+      for (const std::int64_t k : {1, 25, 255, 256, 257, 500}) {
+        a.resize(static_cast<std::size_t>(m * k));
+        at.resize(a.size());
+        b.assign(b_pool.data(), b_pool.data() + k * n);
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t p = 0; p < k; ++p) {
+            a[static_cast<std::size_t>(i * k + p)] = a_pool.at(i, p);
+            at[static_cast<std::size_t>(p * m + i)] = a_pool.at(i, p);
+          }
+        }
+        ref.assign(static_cast<std::size_t>(m * n), 0.0f);
+        for (std::int64_t i = 0; i < m; ++i) {
+          float* r = ref.data() + i * n;
+          for (std::int64_t p = 0; p < k; ++p) {
+            const float av = a[static_cast<std::size_t>(i * k + p)];
+            const float* bp = b.data() + p * n;
+            for (std::int64_t j = 0; j < n; ++j) r[j] = std::fma(av, bp[j], r[j]);
+          }
+        }
+        const auto check = [&](const char* kernel) {
+          for (std::size_t e = 0; e < ref.size(); ++e) {
+            ++checked;
+            if (std::memcmp(&c[e], &ref[e], sizeof(float)) == 0) continue;
+            if (differ++ == 0) {
+              ADD_FAILURE() << kernel << " m=" << m << " n=" << n
+                            << " k=" << k << " element " << e << ": "
+                            << c[e] << " != fma chain " << ref[e];
+            }
+          }
+        };
+        c.assign(ref.size(), -1.0f);
+        sgemm(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data());
+        check("sgemm");
+        c.assign(ref.size(), -1.0f);
+        sgemm_serial(m, n, k, 1.0f, a.data(), b.data(), 0.0f, c.data());
+        check("sgemm_serial");
+        c.assign(ref.size(), -1.0f);
+        sgemm_at(m, n, k, 1.0f, at.data(), b.data(), 0.0f, c.data());
+        check("sgemm_at");
+      }
+    }
+  }
+  EXPECT_EQ(differ, 0) << "of " << checked << " elements";
 }
 
 TEST(GemmDispatch, EpilogueBiasPreluMatchesSeparatePassesBitwise) {
@@ -426,11 +465,108 @@ TEST(IgemmDispatch, SerialIsAllocationFreeAfterWarmup) {
   Tensor c({m, n});
   igemm_serial(m, n, k, a.data(), b.data(), c.data(), ep);  // warm scratch
 
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
+  test::arm_alloc_counter();
   igemm_serial(m, n, k, a.data(), b.data(), c.data(), ep);
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_count.load(), 0);
+  EXPECT_EQ(test::disarm_alloc_counter(), 0);
+}
+
+// ---- grouped narrow convs ----
+
+TEST(GroupedConv, SamplesMatchPerSampleLoweringBitwise) {
+  // Serving convs narrower than one GEMM register tile lower many samples
+  // into one column panel. Every sample of a batch of 1…70 must equal the
+  // same sample run alone, bit for bit, in fp32 (bias + PReLU epilogue)
+  // and int8, at both tiers, for the band CNN's three conv shapes at
+  // stamp 36 (output planes 32×32, 12×12, 2×2) and tier 1's two (17×17,
+  // 4×4). Batch sizes past 64 also cover a second, partial group.
+  struct Shape5 {
+    std::int64_t cin, cout, extent;
+  };
+  const Shape5 shapes[] = {
+      {2, 10, 36}, {10, 20, 16}, {20, 30, 6}, {1, 8, 21}, {8, 16, 8}};
+  constexpr std::int64_t kMaxBatch = 70;
+  const auto same_rows = [](const Tensor& got, const Tensor& ref,
+                            std::int64_t rows) {
+    const std::int64_t per = ref.size() / ref.extent(0);
+    return got.extent(0) == rows &&
+           std::memcmp(got.data(), ref.data(),
+                       sizeof(float) * static_cast<std::size_t>(rows * per)) ==
+               0;
+  };
+  TierGuard guard;
+  for (const GemmTier tier : {GemmTier::Scalar, GemmTier::Avx2Fma}) {
+    if (!gemm_tier_supported(tier)) continue;
+    set_gemm_tier(tier);
+    for (const Shape5& sh : shapes) {
+      Rng rng(static_cast<std::uint64_t>(sh.cin * 100 + sh.extent));
+      nn::Conv2d conv(sh.cin, sh.cout, 5, rng);
+      const Tensor x = Tensor::randn({kMaxBatch, sh.cin, sh.extent, sh.extent},
+                                     rng);
+      const Tensor bias = Tensor::randn({sh.cout}, rng);
+      const Tensor slope = Tensor::rand_uniform({sh.cout}, rng, 0.05f, 0.5f);
+      const QTensor qw = quantize_per_channel(conv.weight().value);
+      const float in_max = max_abs(x.data(), x.size());
+      Tensor requant({sh.cout});
+      for (std::int64_t c = 0; c < sh.cout; ++c) {
+        requant[c] = in_max / 127.0f * qw.scales[c];
+      }
+      const IgemmEpilogue iep{requant.data(), bias.data(), slope.data()};
+      nn::ConvInt8Scratch scratch;
+      const auto run = [&](bool int8, ConstTensorView in, Tensor& out) {
+        if (int8) {
+          conv.infer_quantized(qw.data.data(), iep, 127.0f / in_max, in, out,
+                               scratch);
+        } else {
+          conv.infer_with(conv.weight().value, bias, in, out, &slope);
+        }
+      };
+      for (const bool int8 : {false, true}) {
+        // Reference: each sample alone, stacked.
+        Tensor ref;
+        Tensor one;
+        for (std::int64_t i = 0; i < kMaxBatch; ++i) {
+          run(int8, ConstTensorView(x).slice(0, i, i + 1), one);
+          if (i == 0) {
+            Shape shape = one.shape();
+            shape[0] = kMaxBatch;
+            ref = Tensor(shape);
+          }
+          std::copy(one.data(), one.data() + one.size(),
+                    ref.data() + i * one.size());
+        }
+        Tensor got;
+        for (std::int64_t batch = 1; batch <= kMaxBatch; ++batch) {
+          run(int8, ConstTensorView(x).slice(0, 0, batch), got);
+          EXPECT_TRUE(same_rows(got, ref, batch))
+              << gemm_tier_name(tier) << (int8 ? " int8" : " fp32")
+              << " cin=" << sh.cin << " extent=" << sh.extent
+              << " batch=" << batch;
+        }
+      }
+    }
+  }
+}
+
+TEST(GroupedConv, SteadyStateIsAllocationFree) {
+  // The grouped lowering's column and output panels are per-thread and
+  // grow-only: after one warmup run at a batch size, later runs at that
+  // size (and any smaller one) allocate nothing, in fp32 and int8.
+  Rng rng(31);
+  nn::Conv2d conv(20, 30, 5, rng);
+  const Tensor x = Tensor::randn({70, 20, 6, 6}, rng);
+  const QTensor qw = quantize_per_channel(conv.weight().value);
+  Tensor requant({30}, 0.001f);
+  const IgemmEpilogue iep{requant.data(), nullptr, nullptr};
+  nn::ConvInt8Scratch scratch;
+  Tensor out;
+  conv.infer_into(x, out);
+  conv.infer_quantized(qw.data.data(), iep, 10.0f, x, out, scratch);
+
+  test::arm_alloc_counter();
+  conv.infer_into(x, out);
+  conv.infer_into(ConstTensorView(x).slice(0, 0, 33), out);
+  conv.infer_quantized(qw.data.data(), iep, 10.0f, x, out, scratch);
+  EXPECT_EQ(test::disarm_alloc_counter(), 0);
 }
 
 // ---- MaxPool serving fast path ----
@@ -439,41 +575,46 @@ TEST(MaxPoolDispatch, VectorPlanePoolMatchesScalarWalkBitwise) {
   // The 2×2/stride-2 AVX2 plane pool in MaxPool2d::infer_into must be
   // bitwise equal to the scalar window walk, including the NaN rule (NaN
   // never beats a finite value, an all-NaN window stays NaN) and the
-  // first-seen-zero tie between -0.0 and +0.0.
+  // first-seen-zero tie between -0.0 and +0.0. ow = 11: the 8-wide row
+  // loop runs once and leaves a 3-column tail; ow = 6 and ow = 1 (the band
+  // CNN's pool2 and pool3) take the gathered short-row path.
   nn::MaxPool2d pool(2);
-  Rng rng(17);
-  // ow = 11: the 8-wide vector loop runs once and leaves a 3-column tail.
-  Tensor x = Tensor::randn({2, 3, 12, 22}, rng);
-  // Poison specific windows: all-NaN, mixed NaN, and a -0/+0 tie.
-  x.data()[0] = std::numeric_limits<float>::quiet_NaN();
-  x.data()[1] = std::numeric_limits<float>::quiet_NaN();
-  x.data()[22] = std::numeric_limits<float>::quiet_NaN();
-  x.data()[23] = std::numeric_limits<float>::quiet_NaN();  // window all NaN
-  x.data()[2] = std::numeric_limits<float>::quiet_NaN();   // window mixed
-  x.data()[4] = -0.0f;
-  x.data()[5] = 0.0f;
-  x.data()[26] = -1.0f;
-  x.data()[27] = -2.0f;  // window max is the tie between -0.0 and +0.0
-
   TierGuard guard;
-  set_gemm_tier(GemmTier::Scalar);
-  Tensor ref;
-  pool.infer_into(x, ref);
+  for (const std::int64_t w : {22, 12, 2}) {
+    Rng rng(17);
+    Tensor x = Tensor::randn({4, 5, 12, w}, rng);
+    // Poison specific windows: all-NaN, mixed NaN, and a -0/+0 tie.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    x.data()[0] = nan;
+    x.data()[1] = nan;
+    x.data()[w] = nan;
+    x.data()[w + 1] = nan;  // window all NaN
+    x.data()[2] = nan;      // window mixed
+    x.data()[4] = -0.0f;
+    x.data()[5] = 0.0f;
+    x.data()[w + 4] = -1.0f;
+    x.data()[w + 5] = -2.0f;  // window max is the tie between -0.0 and +0.0
 
-  if (!vector_tier_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
-  set_gemm_tier(GemmTier::Avx2Fma);
-  Tensor got;
-  pool.infer_into(x, got);
-  ASSERT_EQ(got.shape(), ref.shape());
-  // memcmp, not equals(): the all-NaN window makes elementwise == false
-  // even for identical bits, and identical bits is exactly the claim.
-  EXPECT_EQ(std::memcmp(got.data(), ref.data(),
-                        sizeof(float) * static_cast<std::size_t>(ref.size())),
-            0);
+    set_gemm_tier(GemmTier::Scalar);
+    Tensor ref;
+    pool.infer_into(x, ref);
 
-  // The all-NaN window must have stayed NaN on both paths.
-  EXPECT_TRUE(std::isnan(ref.data()[0]));
-  EXPECT_TRUE(std::isnan(got.data()[0]));
+    if (!vector_tier_available()) GTEST_SKIP() << "no AVX2+FMA on this CPU";
+    set_gemm_tier(GemmTier::Avx2Fma);
+    Tensor got;
+    pool.infer_into(x, got);
+    ASSERT_EQ(got.shape(), ref.shape());
+    // memcmp, not equals(): the all-NaN window makes elementwise == false
+    // even for identical bits, and identical bits is exactly the claim.
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                          sizeof(float) * static_cast<std::size_t>(ref.size())),
+              0)
+        << "w=" << w;
+
+    // The all-NaN window must have stayed NaN on both paths.
+    EXPECT_TRUE(std::isnan(ref.data()[0]));
+    EXPECT_TRUE(std::isnan(got.data()[0]));
+  }
 }
 
 TEST(MaxPoolDispatch, TrainingForwardAndBackwardMatchScalarTierBitwise) {
@@ -485,13 +626,18 @@ TEST(MaxPoolDispatch, TrainingForwardAndBackwardMatchScalarTierBitwise) {
   // values are drawn from a small set full of NaNs, signed zeros and ties.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float values[] = {nan, -0.0f, 0.0f, 1.0f, -1.0f, 2.0f, 1.0f, nan};
-  const std::int64_t extents[][2] = {{2, 2},  {3, 17}, {12, 22},
-                                     {13, 23}, {8, 16}, {7, 35}};
+  // Rows of 8+ outputs (row loop plus tail) and every short row, ow =
+  // 1…7, on even and odd extents; 21 planes leave a partial last group of
+  // eight on the short-row path.
+  const std::int64_t extents[][2] = {
+      {2, 2},  {3, 17}, {12, 22}, {13, 23}, {8, 16}, {7, 35}, {3, 3},
+      {4, 4},  {5, 5},  {6, 6},   {7, 7},   {4, 8},  {5, 9},  {6, 10},
+      {3, 11}, {12, 12}, {2, 13}, {9, 14},  {8, 15}};
   TierGuard guard;
   for (const auto& e : extents) {
     const std::int64_t h = e[0], w = e[1];
     Rng rng(static_cast<std::uint64_t>(100 + h * w));
-    Tensor x({2, 3, h, w});
+    Tensor x({3, 7, h, w});
     for (std::int64_t j = 0; j < x.size(); ++j) {
       x[j] = values[rng.uniform_index(8)];
     }
@@ -608,11 +754,9 @@ TEST(PointwiseConv, InferAllocatesNoColumnBuffer) {
 
   // Steady state: the 1×1 path feeds the input straight to GEMM, so no
   // column buffer exists to allocate or grow — zero allocations total.
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
+  test::arm_alloc_counter();
   conv.infer_into(x, out);
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_count.load(), 0);
+  EXPECT_EQ(test::disarm_alloc_counter(), 0);
 }
 
 }  // namespace

@@ -7,12 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -31,29 +29,7 @@
 #include "nn/nn.h"
 #include "tensor/gemm.h"
 #include "tensor/thread_pool.h"
-
-// Global allocation counter for the zero-alloc-after-warmup test. Only
-// counts while armed, so gtest bookkeeping outside the measured window
-// stays invisible.
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::int64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.h"
 
 namespace sne::core {
 namespace {
@@ -159,10 +135,13 @@ TEST(InferParity, JointSessionMatchesEvalForward) {
 TEST(InferParity, JointSessionRowsMatchAcrossBatchSizes) {
   // A sample's score must not depend on the batch it is scored in: each
   // row of a batch-32 joint score equals that row scored alone, bit for
-  // bit. The server's micro-batcher groups requests arbitrarily, so its
-  // responses rely on this. It holds because every GEMM whose rows are
-  // batch rows (the fp32 Linear steps, via sgemm_bt) is a per-element dot
-  // product; the AVX2 panel kernel's column tails would break it.
+  // bit, at both kernel tiers. The server's micro-batcher groups requests
+  // arbitrarily, so its responses rely on this. It holds because every
+  // GEMM output element is a function of its own row and column alone:
+  // the fp32 Linear steps' sgemm_bt is a per-element dot product, and the
+  // band CNN's narrow conv3, which lowers the whole batch into one column
+  // panel, runs on igemm or on the sgemm tiers' per-element chains (the
+  // vector tier's masked column edge included).
   Rng rng(19);
   JointModelConfig jc;
   jc.cnn.input_size = kStamp;
@@ -183,20 +162,26 @@ TEST(InferParity, JointSessionRowsMatchAcrossBatchSizes) {
   }
 
   infer::JointSession session = make_session(joint);
-  const Tensor batched = session.run(x);
-  ASSERT_EQ(batched.extent(0), kBatch);
-  const std::int64_t width = batched.size() / kBatch;
-  Tensor single({1, dim});
-  Tensor out;
-  for (std::int64_t i = 0; i < kBatch; ++i) {
-    std::copy(x.data() + i * dim, x.data() + (i + 1) * dim, single.data());
-    session.run(single, out);
-    ASSERT_EQ(out.size(), width);
-    EXPECT_EQ(std::memcmp(out.data(), batched.data() + i * width,
-                          sizeof(float) * static_cast<std::size_t>(width)),
-              0)
-        << "row " << i;
+  const GemmTier prev = gemm_tier();
+  for (const GemmTier tier : {GemmTier::Scalar, GemmTier::Avx2Fma}) {
+    if (!gemm_tier_supported(tier)) continue;
+    set_gemm_tier(tier);
+    const Tensor batched = session.run(x);
+    ASSERT_EQ(batched.extent(0), kBatch);
+    const std::int64_t width = batched.size() / kBatch;
+    Tensor single({1, dim});
+    Tensor out;
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      std::copy(x.data() + i * dim, x.data() + (i + 1) * dim, single.data());
+      session.run(single, out);
+      ASSERT_EQ(out.size(), width);
+      EXPECT_EQ(std::memcmp(out.data(), batched.data() + i * width,
+                            sizeof(float) * static_cast<std::size_t>(width)),
+                0)
+          << gemm_tier_name(tier) << " row " << i;
+    }
   }
+  set_gemm_tier(prev);
 }
 
 TEST(InferParity, RepeatedRunsAreBitwiseIdentical) {
@@ -516,11 +501,9 @@ TEST(Int8Parity, QuantizedSteadyStateRunIsAllocationFree) {
   session.run(x, out);  // warmup: arena + int8 scratch sized here
   session.run(x, out);
 
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
+  test::arm_alloc_counter();
   session.run(x, out);
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_count.load(), 0);
+  EXPECT_EQ(test::disarm_alloc_counter(), 0);
 }
 
 TEST(Int8Parity, JointCalibrationFactoryIsDeterministic) {
@@ -641,11 +624,9 @@ TEST(InferParity, SteadyStateRunIsAllocationFree) {
   session.run(x, out);  // warmup: arena + scratch sized here
   session.run(x, out);
 
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
+  test::arm_alloc_counter();
   session.run(x, out);
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_count.load(), 0);
+  EXPECT_EQ(test::disarm_alloc_counter(), 0);
 }
 
 }  // namespace

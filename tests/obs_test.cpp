@@ -12,43 +12,25 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/inference.h"
+#include "core/joint_model.h"
 #include "obs/obs.h"
+#include "stream/tier1.h"
 #include "tensor/env.h"
 #include "tensor/runtime.h"
 #include "tensor/thread_pool.h"
-
-// ---- allocation counter (same trick as infer_parity_test) ----
-// Counts heap allocations while armed. Global operator new/delete are
-// replaced for the whole binary; the counter only moves when armed, so
-// the other tests are unaffected.
-namespace {
-std::atomic<bool> g_alloc_armed{false};
-std::atomic<std::int64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_alloc_armed.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size);
-  if (!p) throw std::bad_alloc();
-  return p;
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.h"
 
 extern char** environ;
 
@@ -247,20 +229,72 @@ TEST(Obs, DisabledPathDoesNotAllocate) {
   obs::Counter& c = obs::counter("test.noalloc");  // lookup before arming
   obs::Gauge& g = obs::gauge("test.noalloc_gauge");
 
-  g_alloc_count.store(0);
-  g_alloc_armed.store(true);
+  test::arm_alloc_counter();
   for (int i = 0; i < 1000; ++i) {
     obs::Span span("test.noalloc_span", i);
     c.add();
     g.set(i);
   }
-  g_alloc_armed.store(false);
-  EXPECT_EQ(g_alloc_count.load(), 0);
+  EXPECT_EQ(test::disarm_alloc_counter(), 0);
   EXPECT_EQ(c.value(), 0);
   EXPECT_TRUE(obs::snapshot_spans().empty());
 }
 
 // ---- the env/runtime surface the telemetry and pool knobs hang off ----
+
+// Plan-step spans are named infer.<plan>.<i>.<layer>, so one trace holding
+// the joint model's band CNN and classifier next to the cascade's tier 1
+// (a night_cascade run) keeps their steps apart.
+TEST(Obs, JointAndTier1PlanStepSpansAreDisjoint) {
+  ObsGuard guard;
+  Rng rng(5);
+  core::JointModelConfig jc;
+  jc.cnn.input_size = 36;
+  core::JointModel joint(jc, rng);
+  joint.set_training(false);
+  stream::Tier1Cnn tier1(stream::Tier1Config{}, rng);
+  tier1.set_training(false);
+  infer::JointSession joint_session = core::make_session(joint);
+  infer::InferenceSession tier1_session = stream::make_tier1_session(tier1);
+
+  // Step span names recorded while `run` executes (the run-level spans
+  // every session records are left out).
+  const auto step_spans = [](auto&& run) {
+    obs::reset();
+    obs::enable();
+    run();
+    obs::disable();
+    const std::set<std::string> run_level = {"infer.run", "infer.run.warmup",
+                                             "infer.joint"};
+    std::set<std::string> names;
+    for (const obs::SpanRecord& s : obs::snapshot_spans()) {
+      const std::string name = s.name;
+      if (name.rfind("infer.", 0) == 0 && run_level.count(name) == 0) {
+        names.insert(name);
+      }
+    }
+    return names;
+  };
+  const Tensor joint_x = Tensor::rand_uniform(
+      {3, core::JointModel::input_dim(36)}, rng, 0.0f, 1.0f);
+  const Tensor tier1_x = Tensor::rand_uniform({3, 1, 21, 21}, rng, -1.0f, 1.0f);
+  const std::set<std::string> joint_steps =
+      step_spans([&] { (void)joint_session.run(joint_x); });
+  const std::set<std::string> tier1_steps =
+      step_spans([&] { (void)tier1_session.run(tier1_x); });
+
+  ASSERT_FALSE(joint_steps.empty());
+  ASSERT_FALSE(tier1_steps.empty());
+  for (const std::string& name : joint_steps) {
+    EXPECT_TRUE(name.rfind("infer.band_cnn.", 0) == 0 ||
+                name.rfind("infer.classifier.", 0) == 0)
+        << name;
+    EXPECT_EQ(tier1_steps.count(name), 0u) << name;
+  }
+  for (const std::string& name : tier1_steps) {
+    EXPECT_EQ(name.rfind("infer.tier1.", 0), 0u) << name;
+  }
+}
 
 TEST(Env, ParsesAndFallsBack) {
   ::setenv("SNE_OBSTEST_GOOD", "42", 1);

@@ -6,12 +6,10 @@
 // same hardening.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -22,28 +20,7 @@
 #include "sim/dataset_builder.h"
 #include "sim/dataset_io.h"
 #include "tensor/tensor.h"
-
-// Allocation counter for the snapshot replay pin; armed only inside the
-// measured window so gtest bookkeeping stays invisible.
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::int64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.h"
 
 namespace sne {
 namespace {
@@ -127,12 +104,10 @@ TEST(Snapshot, ReplayBatchIsAllocationFreeAfterWarmup) {
   nn::Sample batch;
   snap.get_batch_into(order, 0, 8, batch);  // warmup sizes the buffers
 
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
+  test::arm_alloc_counter();
   snap.get_batch_into(order, 8, 8, batch);
   snap.get_batch_into(order, 0, 8, batch);
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_count.load(), 0)
+  EXPECT_EQ(test::disarm_alloc_counter(), 0)
       << "snapshot replay must be pure pointer arithmetic + memcpy";
 }
 

@@ -6,37 +6,14 @@
 // aliasing and lifetime claims real.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
-#include <new>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "tensor/tensor.h"
 #include "tensor/view.h"
-
-// Allocation counter for the view-construction pin; armed only inside
-// the measured window so gtest bookkeeping stays invisible.
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::int64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counter.h"
 
 namespace sne {
 namespace {
@@ -180,16 +157,14 @@ TEST(TensorView, ConstructionSliceAndReshapeAreAllocationFree) {
   // view construction touching the allocator would break their
   // steady-state zero-allocation pins.
   Tensor t = iota_tensor({4, 2, 3, 3});
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
+  test::arm_alloc_counter();
   ConstTensorView v = t;
   ConstTensorView rows = v.slice(0, 1, 3);
   ConstTensorView flat = rows.reshaped({2, -1});
   TensorView w = t.view();
   TensorView wrow = w.slice(0, 0, 1);
   const float first = flat[0] + wrow[0] + v[0];
-  g_count_allocs.store(false);
-  EXPECT_EQ(g_alloc_count.load(), 0);
+  EXPECT_EQ(test::disarm_alloc_counter(), 0);
   EXPECT_FLOAT_EQ(first, 2.0f * t[0] + t[2 * 3 * 3]);
 }
 
